@@ -21,3 +21,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Dtls_alphabet.symbol, Dtls_alphabet.output) Prognosis_sul.Sul.t
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
+    nothing is recorded in an Oracle Table; use {!create} when
+    synthesis needs the table. *)

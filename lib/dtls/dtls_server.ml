@@ -70,11 +70,6 @@ let create ?(config = default_config) rng =
 
 let phase_name t = phase_to_string t.phase
 
-let to_hex s =
-  String.concat ""
-    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
-       (List.init (String.length s) (String.get s)))
-
 let protect t ~epoch ~seq payload =
   match C.seal t.crypto C.Server_write ~epoch ~seq payload with
   | Some sealed -> sealed
@@ -94,7 +89,10 @@ let emit_handshake t msg_type body =
 
 let fatal_alert t description =
   t.phase <- Closed;
-  [ emit t W.Alert (Printf.sprintf "\x02%c" (Char.chr description)) ]
+  (* fatal(2), description *)
+  let body = Bytes.make 2 '\x02' in
+  Bytes.set body 1 (Char.chr description);
+  [ emit t W.Alert (Bytes.unsafe_to_string body) ]
 
 (* ClientHello body: "CR:<random>;COOKIE:<cookie>". *)
 let parse_client_hello body =
@@ -110,7 +108,7 @@ let parse_client_hello body =
   | _ -> None
 
 let server_flight t =
-  t.server_random <- to_hex (Rng.bytes t.rng 8);
+  t.server_random <- Rng.hex t.rng 8;
   t.phase <- Waiting_key_exchange;
   [
     emit_handshake t W.Server_hello ("SR:" ^ t.server_random);
@@ -125,7 +123,7 @@ let handle_client_hello t body =
       t.client_random <- client_random;
       match t.phase with
       | Waiting_hello when t.cfg.require_cookie ->
-          t.cookie <- to_hex (Rng.bytes t.rng 8);
+          t.cookie <- Rng.hex t.rng 8;
           t.phase <- Waiting_verified_hello;
           [ emit_handshake t W.Hello_verify_request t.cookie ]
       | Waiting_hello -> server_flight t

@@ -30,3 +30,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Quic_alphabet.symbol, Quic_alphabet.output) Prognosis_sul.Sul.t
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
+    nothing is recorded in an Oracle Table; use {!create} when
+    synthesis needs the table. *)

@@ -50,3 +50,10 @@ let to_sul t =
       steps := { Oracle_table.sent; received } :: !steps;
       o)
     ()
+
+let to_sul_unrecorded t =
+  Sul.make ~description:t.description ~reset:t.reset
+    ~step:(fun a ->
+      let o, _, _ = t.step a in
+      o)
+    ()

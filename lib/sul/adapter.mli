@@ -34,4 +34,17 @@ val query : ('ai, 'ao, 'ci, 'co) t -> 'ai list -> 'ao list
 val to_sul : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
 (** View for the learner. Concrete packets stay hidden, but each query
     (delimited by resets) is still recorded in the Oracle Table when it
-    completes, so synthesis can mine it later. *)
+    completes, so synthesis can mine it later. The study pipelines
+    ([Tcp_study], [Quic_study], [Dtls_study]) learn through this view
+    on their direct path: they return the adapter, so its table is
+    readable and feeds synthesis. *)
+
+val to_sul_unrecorded : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
+(** The same view without the Oracle Table: each step runs the
+    adapter's [step] and drops the concrete packets, and nothing is
+    recorded. Answers are those of {!to_sul}. The protocol [sul]
+    constructors ([Tcp_adapter.sul], [Dtls_adapter.sul],
+    [Quic_adapter.sul], [Tcp_client_study.sul]) use it: they keep no
+    handle on the adapter, so a table they filled could never be read.
+    Their SULs back the engine workers, fleet sessions and
+    identification. *)

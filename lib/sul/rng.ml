@@ -30,3 +30,14 @@ let bool t p = float t < p
 
 let bytes t n =
   String.init n (fun _ -> Char.chr (Int64.to_int (Int64.logand (next64 t) 0xFFL)))
+
+let hex_digits = "0123456789abcdef"
+
+let hex t n =
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Int64.to_int (next64 t) land 0xFF in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xF))
+  done;
+  Bytes.unsafe_to_string b

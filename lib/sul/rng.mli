@@ -33,3 +33,8 @@ val bool : t -> float -> bool
 
 val bytes : t -> int -> string
 (** [bytes t n] is [n] uniform random bytes. *)
+
+val hex : t -> int -> string
+(** [hex t n] is what [bytes t n] would draw, as [2n] lowercase hex
+    digits: the randoms, secrets and cookies the simulated handshakes
+    carry as text. *)

@@ -24,5 +24,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Tcp_alphabet.symbol, Tcp_alphabet.output) Prognosis_sul.Sul.t
-(** Learner-facing view (the Oracle Table of the underlying adapter is
-    not exposed; use {!create} when synthesis needs it). *)
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
+    the adapter is not exposed, so nothing is recorded in its Oracle
+    Table; use {!create} when synthesis needs the table. *)

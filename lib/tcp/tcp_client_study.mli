@@ -49,3 +49,6 @@ val sul :
   seed:int64 ->
   unit ->
   (symbol, output) Prognosis_sul.Sul.t
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
+    nothing is recorded in an Oracle Table; use {!adapter} when
+    synthesis needs the table. *)

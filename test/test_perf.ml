@@ -2,8 +2,11 @@
    stepping agrees with the functional reference on arbitrary machines,
    the compacted trie cache round-trips through the checkpoint format
    byte-identically, and the sharded equivalence oracle produces the
-   same model as a sequential run. These run under the @perf alias,
-   next to the counter gate in CI. *)
+   same model as a sequential run. The lean SUL stack is pinned too:
+   DTLS record protection matches known answers, the non-recording
+   adapter view answers as the recording one does, and QUIC outputs
+   render to the same strings. These run under the @perf alias, next to
+   the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
 module Cache = Prognosis_learner.Cache
@@ -11,6 +14,9 @@ module Metrics = Prognosis_obs.Metrics
 module Engine = Prognosis_exec.Engine
 module Quic_alphabet = Prognosis_quic.Quic_alphabet
 module Quic_profile = Prognosis_quic.Quic_profile
+module Sul = Prognosis_sul.Sul
+module Adapter = Prognosis_sul.Adapter
+module C = Prognosis_dtls.Dtls_crypto
 open Prognosis
 
 (* --- packed stepping == functional stepping --- *)
@@ -214,6 +220,225 @@ let parallel_eq_identical () =
     sequential.Quic_study.report.Report.states
     parallel.Quic_study.report.Report.states
 
+
+(* --- DTLS record protection is bit-identical --- *)
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let kat_payload = String.init 100 (fun i -> Char.chr (((i * 37) + 11) land 255))
+
+let kat_crypto ~server_random =
+  let t = C.create () in
+  C.derive_master t ~client_random:"0f1e2d3c4b5a6978" ~server_random
+    ~premaster:"deadbeefcafef00d";
+  t
+
+(* Sealed records (ciphertext then tag, in hex) captured from the
+   earlier implementation, which hashed sprintf-built messages. *)
+let kat_sealed =
+  [
+    (C.Client_write, 0, 0, "", "5b34cb53054b7c8c");
+    (C.Client_write, 0, 0, kat_payload, "f085c674334d447c92b78eebfc79014e430b85e49d69ca3d9222f7854a114fadaa1772fe15bd12f60c3908a2ce9a5f22d2e17b4c23ccd8ecb1ba08204baf51e1a062faadc90a725201d0db515851439afe399d70192d9528acaea0f4cfd5bf0e9d284aa6d1cb54131ae51c83");
+    (C.Client_write, 0, 1, "", "0f6d96b816f5f95c");
+    (C.Client_write, 0, 1, kat_payload, "2aae7c09d50327245b1240bdeba35c62531235aa03f3398b163c8ddf8178ed6a748d05252bddb2494007768bb6ffb5792b5c1515e8356925627f6c42cc3a6037957b85d164b53092b7657fb974dacdfb6ae9abd41ba7fc10a1cd80d8e5a7d5dd196e4ac56240733752879073");
+    (C.Client_write, 0, 1 lsl 40, "", "b66264eb579b55da");
+    (C.Client_write, 0, 1 lsl 40, kat_payload, "59bccd5822b7149cca21369d71c79718af6611dd8cdabce7d6a6bfdd4cde71b4c94b1f61b3dc922a157d6e613487b6e200bc4060c2dbf3e2a513566868b668ed7ebeacf183869b98948293988f9656ccd94afc2abe543664bfa4024a42abee1da4d490ff571effb0c10e66de");
+    (C.Client_write, 1, 0, "", "4cb0376789722d0f");
+    (C.Client_write, 1, 0, kat_payload, "81f26b6eb3f569b5ac2ac0d8c8b500251882ffdf40cb9fe096e3dabd487551ec8e8fd15cccd1653ce25f3d707ea9767aeb9c80d6d0c40618020fd46edbce197e84b42d578234bbb81eaf54c0e8e28ece6ea01e2644a4184b8bb806791f2d26c41e48fca80f4b841a73bebb4c");
+    (C.Client_write, 1, 1, "", "0442504e08f8b58a");
+    (C.Client_write, 1, 1, kat_payload, "55605047609d5a01c4f28cd0583e601c6f5bb39fee39f51329d5ae52ca40526c629e19065ebca5ad3dc0184d1b2c176c4695d94ba685564c0a8e668b6f9f5e734da5063e000fde3fc94569d038607f93573c52f18af563124077652f4927f20dc3fb4c9358bd3801e626a949");
+    (C.Client_write, 1, 1 lsl 40, "", "6429cfdbd143004e");
+    (C.Client_write, 1, 1 lsl 40, kat_payload, "a95db3039865f83edf8a8431bbb9eb5f4da8a1508ceaca4fa2932b4a5590125fd1ccc267888c2c0440b70fa959167c523a9998938e1ad70867bd8314446407215b19280ff557e04728eec819cc1f0a0f0ebb6fea1a0b8c667d5a3cc2c6ee5e7c305e0e8db671834c7d0862b4");
+    (C.Server_write, 0, 0, "", "7844dba38648caaf");
+    (C.Server_write, 0, 0, kat_payload, "1afe2e825fc8dd5f312f1c128c0a7d9e53cd70247fd436e87671f9e82734cbd26a765d7af94768da312cb3f8c732276a4da7531926bcee1483cd197c474a014443afabd4c4aed1f3affcdb9a47073ce3cfcb5f41f7bd933a54ae2411033bb99e7cb1a97d6cc525ccc8a28b4a");
+    (C.Server_write, 0, 1, "", "0d86b78182f3d669");
+    (C.Server_write, 0, 1, kat_payload, "c010cdf45f473b1e13ab67123212c2d2623dbb7df3a0b03d925bd85d6c680584a64b993d482a1ad3428601c95e53904abef31d05e00a6b899686308f15c86039139c4d0030d0a28aa40efb444cb7b73d3a0a46a8e3a150885498421fc2e93f3b7084a8edf4f4d380b6a6578e");
+    (C.Server_write, 0, 1 lsl 40, "", "855c217f61c62a95");
+    (C.Server_write, 0, 1 lsl 40, kat_payload, "e585aecf6f1f964142fc6b3ab7e548c62b3f4548c942bda5d8c53c7cf43ac0e5e23b453e69a5b3c4d45d6322d592b80c26d067eacd3c5e0c977fcc2317eb8c2c388bfea5cba678ed262928e60b1f6d95bb12e9faf0848d56cdfc6bc4b870af85943efd0e4018da47a5dac336");
+    (C.Server_write, 1, 0, "", "a346cf293024d9f4");
+    (C.Server_write, 1, 0, kat_payload, "0c7cfce8ab54dd1c425a28443d9d79176d03f2449ae5baf16d7bdbd0de05ca611d36c02ca537c06d9c5bb71ccec130e3c75448e64bfaee6646805ce294e080a3bedbb53864f6a8a5af9c8c71dfcd7d84dd92047454fd82f342c24131333766856a6bd1560a959479d6374977");
+    (C.Server_write, 1, 1, "", "3e5d37b1247d7545");
+    (C.Server_write, 1, 1, kat_payload, "947271ba270e9e0e924ac0e1d8bbfec1a427d2bfe7e490cf70917abd327b5636fe3a9d77986ee9a73b973fdaa33111fa270a142eafe03da0fd6d73e6eaffc6bf07851b954da9834544ed202c96ae669efa9cc617937f738acbcfe12783f3eae01218b5c7ababfb6bcfd5c507");
+    (C.Server_write, 1, 1 lsl 40, "", "6fe9c419f20ef67e");
+    (C.Server_write, 1, 1 lsl 40, kat_payload, "617131c57100b08f2b69d20ad9415c9322ae3689810cb95cff9460bc8d6ba2d6165c70b9d727aa2a6cc43d80bdba49e8859a8cce3fa8f17d8e0bfd4c31e9b2e6bb4aa84f53af3cd54441224c83996ddda552069fbaee70e8bd240809727bf9049b7d311b47b310bf9352fb0c")
+  ]
+
+let dir_name = function C.Client_write -> "client" | C.Server_write -> "server"
+
+let dtls_crypto_known_answers () =
+  let t = kat_crypto ~server_random:"a1b2c3d4e5f60718" in
+  List.iter
+    (fun (dir, epoch, seq, payload, sealed) ->
+      let name =
+        Printf.sprintf "%s epoch %d seq %d, %d bytes" (dir_name dir) epoch seq
+          (String.length payload)
+      in
+      Alcotest.(check (option string))
+        ("seal " ^ name) (Some sealed)
+        (Option.map hex (C.seal t dir ~epoch ~seq payload));
+      Alcotest.(check (option string))
+        ("open " ^ name) (Some payload)
+        (C.open_ t dir ~epoch ~seq (of_hex sealed)))
+    kat_sealed;
+  Alcotest.(check string) "client verify_data" "61b5ac90b32b1201"
+    (hex (C.verify_data t C.Client_write));
+  Alcotest.(check string) "server verify_data" "058d2fb673e41993"
+    (hex (C.verify_data t C.Server_write));
+  (* the client derives keys with whatever server random it knows *)
+  let t = kat_crypto ~server_random:"" in
+  Alcotest.(check string) "client verify_data, no server random"
+    "c1b5ca5dc35dae59" (hex (C.verify_data t C.Client_write));
+  Alcotest.(check string) "server verify_data, no server random"
+    "c5a9d01be17fd6ab" (hex (C.verify_data t C.Server_write));
+  Alcotest.(check (option string)) "seal, no server random"
+    (Some "cfd5a295d9ed79e662300a79")
+    (Option.map hex (C.seal t C.Client_write ~epoch:1 ~seq:3 "ping"));
+  let none = C.create () in
+  Alcotest.(check bool) "no keys: not ready" false (C.ready none);
+  Alcotest.(check (option string)) "no keys: no seal" None
+    (C.seal none C.Client_write ~epoch:1 ~seq:0 "ping");
+  Alcotest.(check (option string)) "no keys: no open" None
+    (C.open_ none C.Client_write ~epoch:1 ~seq:0 (of_hex "5b34cb53054b7c8c"));
+  Alcotest.(check string) "no keys: empty verify_data" ""
+    (C.verify_data none C.Client_write);
+  Alcotest.(check (option string)) "junk shorter than a tag" None
+    (C.open_ t C.Client_write ~epoch:1 ~seq:0 "junk")
+
+let prop_dtls_seal_open =
+  QCheck2.Test.make ~count:500
+    ~name:"dtls open_ (seal p) = Some p; a bit flip or wrong direction fails"
+    QCheck2.Gen.(
+      tup4
+        (triple (string_size (int_range 0 20)) (string_size (int_range 0 20))
+           (string_size (int_range 0 20)))
+        (triple bool (int_range 0 3) (int_range 0 ((1 lsl 48) - 1)))
+        (string_size (int_range 0 120))
+        nat)
+    (fun ((cr, sr, pms), (client, epoch, seq), p, bit) ->
+      let t = C.create () in
+      C.derive_master t ~client_random:cr ~server_random:sr ~premaster:pms;
+      let dir, other =
+        if client then (C.Client_write, C.Server_write)
+        else (C.Server_write, C.Client_write)
+      in
+      match C.seal t dir ~epoch ~seq p with
+      | None -> false
+      | Some sealed ->
+          let bit = bit mod (8 * String.length sealed) in
+          let flipped = Bytes.of_string sealed in
+          Bytes.set flipped (bit / 8)
+            (Char.chr (Char.code sealed.[bit / 8] lxor (1 lsl (bit mod 8))));
+          String.length sealed = String.length p + C.tag_length
+          && C.open_ t dir ~epoch ~seq sealed = Some p
+          && C.open_ t other ~epoch ~seq sealed = None
+          && C.open_ t dir ~epoch ~seq (Bytes.to_string flipped) = None)
+
+(* --- the non-recording adapter view answers as the recording one --- *)
+
+let gen_seed_and_words alphabet =
+  QCheck2.Gen.(
+    pair
+      (map Int64.of_int (int_range 0 100_000))
+      (list_size (int_range 1 8)
+         (list_size (int_range 0 10)
+            (map (Array.get alphabet)
+               (int_range 0 (Array.length alphabet - 1))))))
+
+let prop_unrecorded_view ~name ~count ~alphabet ~unrecorded ~recorded =
+  QCheck2.Test.make ~count
+    ~name:(name ^ ": *.sul answers as Adapter.to_sul (create)")
+    (gen_seed_and_words alphabet)
+    (fun (seed, words) ->
+      let a = unrecorded seed and b = recorded seed in
+      List.for_all (fun w -> Sul.query a w = Sul.query b w) words)
+
+let prop_unrecorded_tcp =
+  prop_unrecorded_view ~name:"tcp" ~count:60
+    ~alphabet:Prognosis_tcp.Tcp_alphabet.all
+    ~unrecorded:(fun seed -> Prognosis_tcp.Tcp_adapter.sul ~seed ())
+    ~recorded:(fun seed ->
+      Adapter.to_sul (Prognosis_tcp.Tcp_adapter.create ~seed ()))
+
+let prop_unrecorded_tcp_client =
+  prop_unrecorded_view ~name:"tcp-client" ~count:60
+    ~alphabet:Prognosis_tcp.Tcp_client_study.all
+    ~unrecorded:(fun seed -> Prognosis_tcp.Tcp_client_study.sul ~seed ())
+    ~recorded:(fun seed ->
+      Adapter.to_sul (Prognosis_tcp.Tcp_client_study.adapter ~seed ()))
+
+let prop_unrecorded_dtls =
+  prop_unrecorded_view ~name:"dtls" ~count:60
+    ~alphabet:Prognosis_dtls.Dtls_alphabet.all
+    ~unrecorded:(fun seed -> Prognosis_dtls.Dtls_adapter.sul ~seed ())
+    ~recorded:(fun seed ->
+      Adapter.to_sul (fst (Prognosis_dtls.Dtls_adapter.create ~seed ())))
+
+let prop_unrecorded_quic =
+  prop_unrecorded_view ~name:"quic" ~count:40 ~alphabet:Quic_alphabet.all
+    ~unrecorded:(fun seed -> Prognosis_quic.Quic_adapter.sul ~seed ())
+    ~recorded:(fun seed ->
+      Adapter.to_sul (fst (Prognosis_quic.Quic_adapter.create ~seed ())))
+
+(* The study path still fills the Oracle Table it hands to synthesis. *)
+let study_table_recorded () =
+  let r = Tcp_study.learn ~seed:1L () in
+  Alcotest.(check bool) "result.adapter.table is non-empty" true
+    (Prognosis_sul.Oracle_table.size r.Tcp_study.adapter.Adapter.table > 0)
+
+(* --- QUIC outputs render to the same strings without Printf --- *)
+
+let reference_apacket (a : Quic_alphabet.apacket) =
+  Printf.sprintf "%s(?,?)[%s]"
+    (Prognosis_quic.Quic_packet.ptype_to_string a.Quic_alphabet.ptype)
+    (String.concat ","
+       (List.map Prognosis_quic.Frame.kind_to_string a.Quic_alphabet.frames))
+
+let reference_output = function
+  | [] -> "NIL"
+  | packets ->
+      "{" ^ String.concat ", " (List.map reference_apacket packets) ^ "}"
+
+(* Every list of at most [n] elements of [xs]. *)
+let rec lists_upto n xs =
+  if n = 0 then [ [] ]
+  else
+    []
+    :: List.concat_map
+         (fun x -> List.map (List.cons x) (lists_upto (n - 1) xs))
+         xs
+
+let quic_strings_match_reference () =
+  let apackets frames_upto =
+    List.concat_map
+      (fun ptype ->
+        List.map
+          (fun frames -> { Quic_alphabet.ptype; frames })
+          (lists_upto frames_upto Prognosis_quic.Frame.all_kinds))
+      Prognosis_quic.Quic_packet.all_ptypes
+  in
+  let all = apackets 3 in
+  Alcotest.(check int) "7 ptypes x (1 + 20 + 400 + 8000) frame lists" 58947
+    (List.length all);
+  List.iter
+    (fun a ->
+      let want = reference_apacket a in
+      if Quic_alphabet.apacket_to_string a <> want then
+        Alcotest.failf "apacket_to_string differs from %S" want)
+    all;
+  List.iter
+    (fun o ->
+      let want = reference_output o in
+      if Quic_alphabet.output_to_string o <> want then
+        Alcotest.failf "output_to_string differs from %S" want)
+    (lists_upto 2 (apackets 1))
+
 let () =
   Alcotest.run "perf"
     [
@@ -238,5 +463,24 @@ let () =
       ( "parallel-eq",
         [
           Alcotest.test_case "byte-identical model" `Slow parallel_eq_identical;
+        ] );
+      ( "dtls-crypto",
+        [
+          Alcotest.test_case "known answers" `Quick dtls_crypto_known_answers;
+          QCheck_alcotest.to_alcotest prop_dtls_seal_open;
+        ] );
+      ( "unrecorded-sul",
+        [
+          QCheck_alcotest.to_alcotest prop_unrecorded_tcp;
+          QCheck_alcotest.to_alcotest prop_unrecorded_tcp_client;
+          QCheck_alcotest.to_alcotest prop_unrecorded_dtls;
+          QCheck_alcotest.to_alcotest prop_unrecorded_quic;
+          Alcotest.test_case "study path keeps its Oracle Table" `Quick
+            study_table_recorded;
+        ] );
+      ( "quic-strings",
+        [
+          Alcotest.test_case "byte-identical to sprintf" `Quick
+            quic_strings_match_reference;
         ] );
     ]

@@ -90,6 +90,21 @@ let rng_bytes_length () =
   Alcotest.(check int) "length" 32 (String.length (Rng.bytes rng 32));
   Alcotest.(check int) "empty" 0 (String.length (Rng.bytes rng 0))
 
+(* [hex] draws exactly what [bytes] draws and renders it as %02x. *)
+let rng_hex_matches_bytes () =
+  List.iter
+    (fun n ->
+      let a = Rng.create 17L and b = Rng.create 17L in
+      let want =
+        String.concat ""
+          (List.map
+             (fun c -> Printf.sprintf "%02x" (Char.code c))
+             (List.of_seq (String.to_seq (Rng.bytes b n))))
+      in
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) want (Rng.hex a n);
+      Alcotest.(check int64) "same draws" (Rng.next64 b) (Rng.next64 a))
+    [ 0; 1; 8; 33 ]
+
 let prop_rng_int_covers =
   QCheck2.Test.make ~count:50 ~name:"rng int eventually covers small ranges"
     QCheck2.Gen.(int_range 2 8)
@@ -423,6 +438,7 @@ let () =
           Alcotest.test_case "float range" `Quick rng_float_range;
           Alcotest.test_case "bool rate" `Quick rng_bool_rate;
           Alcotest.test_case "bytes" `Quick rng_bytes_length;
+          Alcotest.test_case "hex" `Quick rng_hex_matches_bytes;
           QCheck_alcotest.to_alcotest prop_rng_int_covers;
         ] );
       ( "network",
