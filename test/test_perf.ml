@@ -469,7 +469,7 @@ let () =
           Alcotest.test_case "known answers" `Quick dtls_crypto_known_answers;
           QCheck_alcotest.to_alcotest prop_dtls_seal_open;
         ] );
-      ( "unrecorded-sul",
+      ( "unrecorded",
         [
           QCheck_alcotest.to_alcotest prop_unrecorded_tcp;
           QCheck_alcotest.to_alcotest prop_unrecorded_tcp_client;
@@ -478,7 +478,7 @@ let () =
           Alcotest.test_case "study path keeps its Oracle Table" `Quick
             study_table_recorded;
         ] );
-      ( "quic-strings",
+      ( "quic-output",
         [
           Alcotest.test_case "byte-identical to sprintf" `Quick
             quic_strings_match_reference;
