@@ -848,6 +848,16 @@ let replay_cmd =
    alphabet, so the gate below works uniformly on (string, string)
    machines whatever the protocol. *)
 let ci_targets seed =
+  let quic_target name profile =
+    ( "quic:" ^ name,
+      Persist.Quic_model,
+      "quic-" ^ name ^ ".model",
+      fun () ->
+        let module A = Prognosis_quic.Quic_alphabet in
+        Persist.to_string_model ~input_to_string:A.to_string
+          ~output_to_string:A.output_to_string
+          (Quic_study.learn ~seed ~profile ()).Quic_study.model )
+  in
   [
     ( "tcp",
       Persist.Tcp_model,
@@ -857,16 +867,9 @@ let ci_targets seed =
         Persist.to_string_model ~input_to_string:A.to_string
           ~output_to_string:A.output_to_string
           (Tcp_study.learn ~seed ()).Tcp_study.model );
-    ( "quic:quiche-like",
-      Persist.Quic_model,
-      "quic-quiche-like.model",
-      fun () ->
-        let module A = Prognosis_quic.Quic_alphabet in
-        Persist.to_string_model ~input_to_string:A.to_string
-          ~output_to_string:A.output_to_string
-          (Quic_study.learn ~seed
-             ~profile:Prognosis_quic.Quic_profile.quiche_like ())
-            .Quic_study.model );
+    quic_target "quiche-like" Prognosis_quic.Quic_profile.quiche_like;
+    quic_target "google-like" Prognosis_quic.Quic_profile.google_like;
+    quic_target "strict-retry" Prognosis_quic.Quic_profile.strict_retry;
     ( "dtls",
       Persist.Dtls_model,
       "dtls.model",

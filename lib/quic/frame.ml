@@ -148,203 +148,213 @@ let is_ack_eliciting f =
   | K_ack | K_padding | K_connection_close -> false
   | _ -> true
 
-let add_varint = Varint.encode
+let vlen = Varint.encoded_length
+let bytes_length s = vlen (String.length s) + String.length s
 
-let add_bytes buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+let encoded_length f =
+  match f with
+  | Padding n -> max n 1
+  | Ping | Handshake_done -> 1
+  | Ack { largest; delay; first_range } ->
+      1 + vlen largest + vlen delay + 1 + vlen first_range
+  | Reset_stream { stream_id; error; final_size } ->
+      1 + vlen stream_id + vlen error + vlen final_size
+  | Stop_sending { stream_id; error } -> 1 + vlen stream_id + vlen error
+  | Crypto { offset; data } -> 1 + vlen offset + bytes_length data
+  | New_token token -> 1 + bytes_length token
+  | Stream { id; offset; data; _ } ->
+      1 + vlen id + vlen offset + bytes_length data
+  | Max_data v | Data_blocked v | Retire_connection_id v -> 1 + vlen v
+  | Max_stream_data { stream_id; max }
+  | Stream_data_blocked { stream_id; max } ->
+      1 + vlen stream_id + vlen max
+  | Max_streams { max; _ } | Streams_blocked { max; _ } -> 1 + vlen max
+  | New_connection_id { seq; retire_prior; cid; reset_token } ->
+      1 + vlen seq + vlen retire_prior + 1 + String.length cid
+      + String.length reset_token
+  | Path_challenge data | Path_response data -> 1 + String.length data
+  | Connection_close { error; frame_type; reason; app } ->
+      1 + vlen error
+      + (if app then 0 else vlen frame_type)
+      + bytes_length reason
 
-let encode buf f =
+let write_string b off s =
+  Bytes.blit_string s 0 b off (String.length s);
+  off + String.length s
+
+let write_bytes b off s =
+  write_string b (Varint.write b off (String.length s)) s
+
+(* Frame types below 0x40 are one-byte varints. *)
+let write_type b off ft =
+  Bytes.set b off (Char.unsafe_chr ft);
+  off + 1
+
+let write b off f =
   match f with
   | Padding n ->
-      for _ = 1 to max n 1 do
-        Buffer.add_char buf '\x00'
-      done
-  | Ping -> add_varint buf 0x01
+      let n = max n 1 in
+      Bytes.fill b off n '\x00';
+      off + n
+  | Ping -> write_type b off 0x01
   | Ack { largest; delay; first_range } ->
-      add_varint buf 0x02;
-      add_varint buf largest;
-      add_varint buf delay;
-      add_varint buf 0 (* range count *);
-      add_varint buf first_range
+      let off = Varint.write b (write_type b off 0x02) largest in
+      let off = Varint.write b off delay in
+      let off = Varint.write b off 0 (* range count *) in
+      Varint.write b off first_range
   | Reset_stream { stream_id; error; final_size } ->
-      add_varint buf 0x04;
-      add_varint buf stream_id;
-      add_varint buf error;
-      add_varint buf final_size
+      let off = Varint.write b (write_type b off 0x04) stream_id in
+      let off = Varint.write b off error in
+      Varint.write b off final_size
   | Stop_sending { stream_id; error } ->
-      add_varint buf 0x05;
-      add_varint buf stream_id;
-      add_varint buf error
+      Varint.write b (Varint.write b (write_type b off 0x05) stream_id) error
   | Crypto { offset; data } ->
-      add_varint buf 0x06;
-      add_varint buf offset;
-      add_bytes buf data
-  | New_token token ->
-      add_varint buf 0x07;
-      add_bytes buf token
+      write_bytes b (Varint.write b (write_type b off 0x06) offset) data
+  | New_token token -> write_bytes b (write_type b off 0x07) token
   | Stream { id; offset; data; fin } ->
       (* 0x08 base; OFF=0x04, LEN=0x02, FIN=0x01 — always explicit. *)
-      add_varint buf (0x08 lor 0x04 lor 0x02 lor if fin then 0x01 else 0);
-      add_varint buf id;
-      add_varint buf offset;
-      add_bytes buf data
-  | Max_data v ->
-      add_varint buf 0x10;
-      add_varint buf v
+      let off =
+        write_type b off (0x08 lor 0x04 lor 0x02 lor if fin then 0x01 else 0)
+      in
+      write_bytes b (Varint.write b (Varint.write b off id) offset) data
+  | Max_data v -> Varint.write b (write_type b off 0x10) v
   | Max_stream_data { stream_id; max } ->
-      add_varint buf 0x11;
-      add_varint buf stream_id;
-      add_varint buf max
+      Varint.write b (Varint.write b (write_type b off 0x11) stream_id) max
   | Max_streams { bidi; max } ->
-      add_varint buf (if bidi then 0x12 else 0x13);
-      add_varint buf max
-  | Data_blocked v ->
-      add_varint buf 0x14;
-      add_varint buf v
+      Varint.write b (write_type b off (if bidi then 0x12 else 0x13)) max
+  | Data_blocked v -> Varint.write b (write_type b off 0x14) v
   | Stream_data_blocked { stream_id; max } ->
-      add_varint buf 0x15;
-      add_varint buf stream_id;
-      add_varint buf max
+      Varint.write b (Varint.write b (write_type b off 0x15) stream_id) max
   | Streams_blocked { bidi; max } ->
-      add_varint buf (if bidi then 0x16 else 0x17);
-      add_varint buf max
+      Varint.write b (write_type b off (if bidi then 0x16 else 0x17)) max
   | New_connection_id { seq; retire_prior; cid; reset_token } ->
-      add_varint buf 0x18;
-      add_varint buf seq;
-      add_varint buf retire_prior;
-      Buffer.add_char buf (Char.chr (String.length cid));
-      Buffer.add_string buf cid;
-      Buffer.add_string buf reset_token (* fixed 16 bytes *)
-  | Retire_connection_id seq ->
-      add_varint buf 0x19;
-      add_varint buf seq
+      let off = Varint.write b (write_type b off 0x18) seq in
+      let off = Varint.write b off retire_prior in
+      Bytes.set b off (Char.chr (String.length cid));
+      let off = write_string b (off + 1) cid in
+      write_string b off reset_token (* fixed 16 bytes *)
+  | Retire_connection_id seq -> Varint.write b (write_type b off 0x19) seq
   | Path_challenge data ->
-      add_varint buf 0x1A;
-      Buffer.add_string buf data (* fixed 8 bytes *)
-  | Path_response data ->
-      add_varint buf 0x1B;
-      Buffer.add_string buf data
+      write_string b (write_type b off 0x1A) data (* fixed 8 bytes *)
+  | Path_response data -> write_string b (write_type b off 0x1B) data
   | Connection_close { error; frame_type; reason; app } ->
-      add_varint buf (if app then 0x1D else 0x1C);
-      add_varint buf error;
-      if not app then add_varint buf frame_type;
-      add_bytes buf reason
-  | Handshake_done -> add_varint buf 0x1E
+      let off = write_type b off (if app then 0x1D else 0x1C) in
+      let off = Varint.write b off error in
+      let off = if app then off else Varint.write b off frame_type in
+      write_bytes b off reason
+  | Handshake_done -> write_type b off 0x1E
+
+let rec encoded_length_all = function
+  | [] -> 0
+  | f :: rest -> encoded_length f + encoded_length_all rest
+
+let rec write_all b off = function
+  | [] -> off
+  | f :: rest -> write_all b (write b off f) rest
 
 let encode_all frames =
-  let buf = Buffer.create 256 in
-  List.iter (encode buf) frames;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_length_all frames) in
+  ignore (write_all b 0 frames);
+  Bytes.unsafe_to_string b
 
 exception Malformed of string
 
-let decode_all payload =
+(* The decoder reads through a cursor [pos] into [payload]. *)
+let fixed payload pos n =
+  if n > String.length payload - !pos then
+    raise (Malformed "truncated fixed field")
+  else begin
+    let s = String.sub payload !pos n in
+    pos := !pos + n;
+    s
+  end
+
+let bytes payload pos = fixed payload pos (Varint.read payload pos)
+
+let decode_frame payload pos =
   let len = String.length payload in
-  let read_varint off = Varint.decode payload off in
-  let read_fixed off n =
-    if off + n > len then raise (Malformed "truncated fixed field")
-    else (String.sub payload off n, off + n)
-  in
-  let read_bytes off =
-    let n, off = read_varint off in
-    read_fixed off n
-  in
-  let rec loop off acc =
-    if off >= len then List.rev acc
-    else begin
-      let ft, off' = read_varint off in
-      match ft with
-      | 0x00 ->
-          (* Coalesce a run of padding. *)
-          let stop = ref off' in
-          while !stop < len && payload.[!stop] = '\x00' do
-            incr stop
-          done;
-          loop !stop (Padding (!stop - off) :: acc)
-      | 0x01 -> loop off' (Ping :: acc)
-      | 0x02 | 0x03 ->
-          let largest, off' = read_varint off' in
-          let delay, off' = read_varint off' in
-          let count, off' = read_varint off' in
-          if count <> 0 then raise (Malformed "multi-range ACK unsupported");
-          let first_range, off' = read_varint off' in
-          loop off' (Ack { largest; delay; first_range } :: acc)
-      | 0x04 ->
-          let stream_id, off' = read_varint off' in
-          let error, off' = read_varint off' in
-          let final_size, off' = read_varint off' in
-          loop off' (Reset_stream { stream_id; error; final_size } :: acc)
-      | 0x05 ->
-          let stream_id, off' = read_varint off' in
-          let error, off' = read_varint off' in
-          loop off' (Stop_sending { stream_id; error } :: acc)
-      | 0x06 ->
-          let offset, off' = read_varint off' in
-          let data, off' = read_bytes off' in
-          loop off' (Crypto { offset; data } :: acc)
-      | 0x07 ->
-          let token, off' = read_bytes off' in
-          loop off' (New_token token :: acc)
-      | ft when ft >= 0x08 && ft <= 0x0F ->
-          let fin = ft land 0x01 <> 0 in
-          let has_off = ft land 0x04 <> 0 in
-          let has_len = ft land 0x02 <> 0 in
-          let id, off' = read_varint off' in
-          let offset, off' = if has_off then read_varint off' else (0, off') in
-          let data, off' =
-            if has_len then read_bytes off'
-            else read_fixed off' (len - off')
-          in
-          loop off' (Stream { id; offset; data; fin } :: acc)
-      | 0x10 ->
-          let v, off' = read_varint off' in
-          loop off' (Max_data v :: acc)
-      | 0x11 ->
-          let stream_id, off' = read_varint off' in
-          let max, off' = read_varint off' in
-          loop off' (Max_stream_data { stream_id; max } :: acc)
-      | 0x12 | 0x13 ->
-          let max, off' = read_varint off' in
-          loop off' (Max_streams { bidi = ft = 0x12; max } :: acc)
-      | 0x14 ->
-          let v, off' = read_varint off' in
-          loop off' (Data_blocked v :: acc)
-      | 0x15 ->
-          let stream_id, off' = read_varint off' in
-          let max, off' = read_varint off' in
-          loop off' (Stream_data_blocked { stream_id; max } :: acc)
-      | 0x16 | 0x17 ->
-          let max, off' = read_varint off' in
-          loop off' (Streams_blocked { bidi = ft = 0x16; max } :: acc)
-      | 0x18 ->
-          let seq, off' = read_varint off' in
-          let retire_prior, off' = read_varint off' in
-          if off' >= len then raise (Malformed "truncated NCID");
-          let cid_len = Char.code payload.[off'] in
-          let cid, off' = read_fixed (off' + 1) cid_len in
-          let reset_token, off' = read_fixed off' 16 in
-          loop off' (New_connection_id { seq; retire_prior; cid; reset_token } :: acc)
-      | 0x19 ->
-          let seq, off' = read_varint off' in
-          loop off' (Retire_connection_id seq :: acc)
-      | 0x1A ->
-          let data, off' = read_fixed off' 8 in
-          loop off' (Path_challenge data :: acc)
-      | 0x1B ->
-          let data, off' = read_fixed off' 8 in
-          loop off' (Path_response data :: acc)
-      | 0x1C | 0x1D ->
-          let app = ft = 0x1D in
-          let error, off' = read_varint off' in
-          let frame_type, off' = if app then (0, off') else read_varint off' in
-          let reason, off' = read_bytes off' in
-          loop off' (Connection_close { error; frame_type; reason; app } :: acc)
-      | 0x1E -> loop off' (Handshake_done :: acc)
-      | ft -> raise (Malformed (Printf.sprintf "unknown frame type 0x%x" ft))
-    end
-  in
-  match loop 0 [] with
+  let start = !pos in
+  match Varint.read payload pos with
+  | 0x00 ->
+      (* Coalesce a run of padding. *)
+      while !pos < len && String.unsafe_get payload !pos = '\x00' do
+        incr pos
+      done;
+      Padding (!pos - start)
+  | 0x01 -> Ping
+  | 0x02 | 0x03 ->
+      let largest = Varint.read payload pos in
+      let delay = Varint.read payload pos in
+      if Varint.read payload pos <> 0 then
+        raise (Malformed "multi-range ACK unsupported");
+      let first_range = Varint.read payload pos in
+      Ack { largest; delay; first_range }
+  | 0x04 ->
+      let stream_id = Varint.read payload pos in
+      let error = Varint.read payload pos in
+      let final_size = Varint.read payload pos in
+      Reset_stream { stream_id; error; final_size }
+  | 0x05 ->
+      let stream_id = Varint.read payload pos in
+      let error = Varint.read payload pos in
+      Stop_sending { stream_id; error }
+  | 0x06 ->
+      let offset = Varint.read payload pos in
+      let data = bytes payload pos in
+      Crypto { offset; data }
+  | 0x07 -> New_token (bytes payload pos)
+  | ft when ft >= 0x08 && ft <= 0x0F ->
+      let id = Varint.read payload pos in
+      let offset = if ft land 0x04 <> 0 then Varint.read payload pos else 0 in
+      let data =
+        if ft land 0x02 <> 0 then bytes payload pos
+        else fixed payload pos (len - !pos)
+      in
+      Stream { id; offset; data; fin = ft land 0x01 <> 0 }
+  | 0x10 -> Max_data (Varint.read payload pos)
+  | 0x11 ->
+      let stream_id = Varint.read payload pos in
+      let max = Varint.read payload pos in
+      Max_stream_data { stream_id; max }
+  | (0x12 | 0x13) as ft ->
+      Max_streams { bidi = ft = 0x12; max = Varint.read payload pos }
+  | 0x14 -> Data_blocked (Varint.read payload pos)
+  | 0x15 ->
+      let stream_id = Varint.read payload pos in
+      let max = Varint.read payload pos in
+      Stream_data_blocked { stream_id; max }
+  | (0x16 | 0x17) as ft ->
+      Streams_blocked { bidi = ft = 0x16; max = Varint.read payload pos }
+  | 0x18 ->
+      let seq = Varint.read payload pos in
+      let retire_prior = Varint.read payload pos in
+      if !pos >= len then raise (Malformed "truncated NCID");
+      let cid_len = Char.code payload.[!pos] in
+      incr pos;
+      let cid = fixed payload pos cid_len in
+      let reset_token = fixed payload pos 16 in
+      New_connection_id { seq; retire_prior; cid; reset_token }
+  | 0x19 -> Retire_connection_id (Varint.read payload pos)
+  | 0x1A -> Path_challenge (fixed payload pos 8)
+  | 0x1B -> Path_response (fixed payload pos 8)
+  | (0x1C | 0x1D) as ft ->
+      let app = ft = 0x1D in
+      let error = Varint.read payload pos in
+      let frame_type = if app then 0 else Varint.read payload pos in
+      let reason = bytes payload pos in
+      Connection_close { error; frame_type; reason; app }
+  | 0x1E -> Handshake_done
+  | ft -> raise (Malformed (Printf.sprintf "unknown frame type 0x%x" ft))
+
+(* the frames from [!pos] to the end, in order *)
+let rec decode_from payload pos =
+  if !pos >= String.length payload then []
+  else
+    let frame = decode_frame payload pos in
+    frame :: decode_from payload pos
+
+let decode_all payload =
+  match decode_from payload (ref 0) with
   | frames -> Ok frames
   | exception Malformed msg -> Error msg
   | exception Invalid_argument msg -> Error msg

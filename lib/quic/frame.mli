@@ -65,7 +65,17 @@ val is_ack_eliciting : t -> bool
 (** Every frame except ACK, PADDING and CONNECTION_CLOSE elicits an
     acknowledgement (RFC 9002). *)
 
-val encode : Buffer.t -> t -> unit
+val encoded_length : t -> int
+(** Wire size of one frame.
+    @raise Invalid_argument for an integer field {!Varint} cannot
+    carry. *)
+
+val write : Bytes.t -> int -> t -> int
+(** [write b off f] writes [f] at [off] and returns the offset just
+    past it; [b] must have {!encoded_length}[ f] bytes of room there. *)
+
+val encoded_length_all : t list -> int
+val write_all : Bytes.t -> int -> t list -> int
 val encode_all : t list -> string
 
 val decode_all : string -> (t list, string) result

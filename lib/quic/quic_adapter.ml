@@ -1,8 +1,15 @@
 module Rng = Prognosis_sul.Rng
 module Network = Prognosis_sul.Network
 module Adapter = Prognosis_sul.Adapter
+module Inet = Prognosis_sul.Inet
 
 type concrete = Quic_packet.t
+
+let client_ip = 0x0A000001
+let server_ip = 0x0A000002
+
+(* the concrete form a detected stateless reset is recorded as *)
+let reset_packet = Quic_packet.make Quic_packet.Stateless_reset ~dcid:""
 
 let create ?profile ?client_config ?(network = Network.reliable) ~seed () =
   let rng = Rng.create seed in
@@ -24,50 +31,47 @@ let create ?profile ?client_config ?(network = Network.reliable) ~seed () =
         ([], [], [])
     | Some (wire, request) ->
         (* QUIC rides in UDP in IPv4; the server reads the source port
-           from the UDP header (address validation, Issue 3). *)
-        let client_ip = 0x0A000001 and server_ip = 0x0A000002 in
-        let deliveries =
-          Network.transmit channel
-            (Prognosis_sul.Inet.wrap_udp ~src:client_ip ~dst:server_ip
-               ~src_port:(Quic_client.port client) ~dst_port:443 wire)
-        in
+           from the UDP header (address validation, Issue 3). The
+           server answers every delivery before any response crosses
+           the channel, and the client absorbs in arrival order. *)
+        let port = Quic_client.port client in
         let responses =
           List.concat_map
             (fun datagram ->
-              match Prognosis_sul.Inet.unwrap_udp datagram with
+              match Inet.unwrap_udp datagram with
               | Ok (port, payload) ->
                   Quic_server.handle_datagram server ~port payload
               | Error _ -> [])
-            deliveries
+            (Network.transmit channel
+               (Inet.wrap_udp ~src:client_ip ~dst:server_ip ~src_port:port
+                  ~dst_port:443 wire))
         in
-        let delivered_back =
+        let delivered =
           List.concat_map
             (fun payload ->
               Network.transmit channel
-                (Prognosis_sul.Inet.wrap_udp ~src:server_ip ~dst:client_ip
-                   ~src_port:443
-                   ~dst_port:(Quic_client.port client) payload))
+                (Inet.wrap_udp ~src:server_ip ~dst:client_ip ~src_port:443
+                   ~dst_port:port payload))
             responses
-          |> List.filter_map (fun datagram ->
-                 match Prognosis_sul.Inet.unwrap_udp datagram with
-                 | Ok (_, payload) -> Some payload
-                 | Error _ -> None)
         in
-        let absorbed = List.map (Quic_client.absorb client) delivered_back in
-        let outputs, concrete_out =
-          List.fold_left
-            (fun (outs, pkts) absorbed ->
-              match absorbed with
-              | Quic_client.Packet p ->
-                  (outs @ [ Quic_alphabet.abstract_packet p ], pkts @ [ p ])
-              | Quic_client.Reset ->
-                  ( outs @ [ Quic_alphabet.abstract_reset ],
-                    pkts @ [ Quic_packet.make Quic_packet.Stateless_reset ~dcid:"" ]
-                  )
-              | Quic_client.Junk _ -> (outs, pkts))
-            ([], []) absorbed
+        let rec absorb outputs packets = function
+          | [] -> (List.rev outputs, [ request ], List.rev packets)
+          | datagram :: rest -> (
+              match Inet.unwrap_udp datagram with
+              | Error _ -> absorb outputs packets rest
+              | Ok (_, payload) -> (
+                  match Quic_client.absorb client payload with
+                  | Quic_client.Packet p ->
+                      absorb
+                        (Quic_alphabet.abstract_packet p :: outputs)
+                        (p :: packets) rest
+                  | Quic_client.Reset ->
+                      absorb
+                        (Quic_alphabet.abstract_reset :: outputs)
+                        (reset_packet :: packets) rest
+                  | Quic_client.Junk _ -> absorb outputs packets rest))
         in
-        (outputs, [ request ], concrete_out)
+        absorb [] [] delivered
   in
   (Adapter.create ~description:"quic" ~reset ~step (), client)
 

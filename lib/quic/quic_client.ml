@@ -26,7 +26,10 @@ type t = {
   mutable initial_pn : int;
   mutable handshake_pn : int;
   mutable app_pn : int;
-  mutable largest : (P.ptype * int) list;
+  mutable largest_initial : int;
+  mutable largest_handshake : int;
+  mutable largest_app : int;
+      (* largest packet number received per space, -1 for none *)
   mutable retry_token : string;
   mutable have_server_hello : bool;
   mutable server_crypto : string;
@@ -45,8 +48,7 @@ type t = {
   mutable tokens_for_dcid : string;
   mutable tokens_for_odcid : string;
   mutable tokens_ : string list;
-      (* stateless-reset tokens for the cids above; cache keyed by
-         physical equality, so a cid swap always recomputes *)
+      (* stateless-reset tokens for the cids above *)
 }
 
 let reset t =
@@ -60,7 +62,9 @@ let reset t =
   t.initial_pn <- 0;
   t.handshake_pn <- 0;
   t.app_pn <- 0;
-  t.largest <- [];
+  t.largest_initial <- -1;
+  t.largest_handshake <- -1;
+  t.largest_app <- -1;
   t.retry_token <- "";
   t.have_server_hello <- false;
   t.server_crypto <- "";
@@ -89,7 +93,9 @@ let create ?(config = default_config) rng =
       initial_pn = 0;
       handshake_pn = 0;
       app_pn = 0;
-      largest = [];
+      largest_initial = -1;
+      largest_handshake = -1;
+      largest_app = -1;
       retry_token = "";
       have_server_hello = false;
       server_crypto = "";
@@ -113,16 +119,21 @@ let create ?(config = default_config) rng =
 
 let port t = t.port_
 
-let space_key (ptype : P.ptype) : P.ptype =
-  match ptype with P.Zero_rtt -> P.Short | other -> other
-
-let largest_received t ptype =
-  try List.assoc (space_key ptype) t.largest with Not_found -> -1
+(* 0-RTT and 1-RTT share the application space. Retry and Version
+   Negotiation carry no packet number and are never noted. *)
+let largest_received t (ptype : P.ptype) =
+  match ptype with
+  | P.Initial -> t.largest_initial
+  | P.Handshake -> t.largest_handshake
+  | P.Short | P.Zero_rtt -> t.largest_app
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
 let note_received t (p : P.t) =
-  let key = space_key p.P.ptype in
-  let current = largest_received t key in
-  t.largest <- (key, max current p.P.pn) :: List.remove_assoc key t.largest
+  match p.P.ptype with
+  | P.Initial -> t.largest_initial <- Int.max t.largest_initial p.P.pn
+  | P.Handshake -> t.largest_handshake <- Int.max t.largest_handshake p.P.pn
+  | P.Short | P.Zero_rtt -> t.largest_app <- Int.max t.largest_app p.P.pn
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> ()
 
 let next_pn t (ptype : P.ptype) =
   match ptype with
@@ -242,13 +253,18 @@ type absorbed =
   | Junk of string
 
 let reset_tokens t =
-  (* memoized per (dcid, odcid): recomputed only when a Retry or a
-     server scid changes the destination cid, not on every datagram *)
-  if t.tokens_for_dcid != t.dcid || t.tokens_for_odcid != t.odcid then begin
+  (* memoized per (dcid, odcid) by value: every decoded packet stores a
+     fresh copy of the server's scid in [t.dcid], so the tokens are
+     recomputed only when a Retry or a new server scid changes it *)
+  if
+    not
+      (String.equal t.tokens_for_dcid t.dcid
+      && String.equal t.tokens_for_odcid t.odcid)
+  then begin
     t.tokens_for_dcid <- t.dcid;
     t.tokens_for_odcid <- t.odcid;
     t.tokens_ <-
-      List.sort_uniq compare
+      List.sort_uniq String.compare
         [
           C.stateless_reset_token ~dcid:t.dcid;
           C.stateless_reset_token ~dcid:t.odcid;
@@ -259,7 +275,7 @@ let reset_tokens t =
 let parse_server_hello data =
   (* The SH may share a packet with other frames; CRYPTO data begins
      with "SH:". *)
-  if String.length data >= 3 && String.sub data 0 3 = "SH:" then
+  if String.starts_with ~prefix:"SH:" data then
     Some (String.sub data 3 (String.length data - 3))
   else None
 

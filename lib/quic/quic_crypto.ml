@@ -20,32 +20,37 @@ let fnv_basis = 0x3BF29CE484222325
 let fnv_prime = 0x100000001B3
 let golden = 0x1E3779B97F4A7C15
 
-let mix z =
+let[@inline] mix z =
   let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   z lxor (z lsr 31)
 
-(* Folds eight bytes per multiply where possible (the trailing mix
-   supplies the diffusion FNV normally gets from its per-byte step). *)
-let fold_string h s =
-  let len = String.length s in
+(* Folds [b[off, off+len)] eight bytes per multiply where possible
+   (the trailing mix supplies the diffusion FNV normally gets from its
+   per-byte step). Lanes start at [off], so a region hashes the same
+   wherever it lies. *)
+let fold_sub h b off len =
   let h = ref h in
-  let i = ref 0 in
-  while !i + 8 <= len do
-    h := (!h lxor Int64.to_int (String.get_int64_le s !i)) * fnv_prime;
+  let i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    h := (!h lxor Int64.to_int (Bytes.get_int64_le b !i)) * fnv_prime;
     i := !i + 8
   done;
-  while !i < len do
-    h := (!h lxor Char.code (String.unsafe_get s !i)) * fnv_prime;
+  while !i < stop do
+    h := (!h lxor Char.code (Bytes.get b !i)) * fnv_prime;
     incr i
   done;
   !h
 
-let fold_int h v =
+(* Strings are only ever read through [Bytes.unsafe_of_string]. *)
+let fold_string h s = fold_sub h (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let[@inline] fold_int h v =
   (((h lxor (v land 0xFFFFFFFF)) * fnv_prime) lxor ((v lsr 32) land 0xFFFFFFFF))
   * fnv_prime
 
-let fold_byte h b = (h lxor b) * fnv_prime
+let[@inline] fold_byte h b = (h lxor b) * fnv_prime
 let hash s = mix (fold_string fnv_basis s)
 let hash64 s = Int64.of_int (hash s)
 
@@ -90,30 +95,36 @@ let drop_level t = function
   | Handshake_level -> t.handshake <- None
   | Application_level -> t.application <- None
 
-let has_level t level = slot t level <> None
+let has_level t level = Option.is_some (slot t level)
+
+let key_for secrets = function
+  | Client_to_server -> secrets.c2s
+  | Server_to_client -> secrets.s2c
+
+(* The next key generation for one direction (RFC 9001 §6). *)
+let next_key secrets direction = derive (key_for secrets direction) "ku"
 
 let update_application t =
   match t.application with
   | None -> ()
   | Some secrets ->
       t.application <-
-        Some { c2s = derive secrets.c2s "ku"; s2c = derive secrets.s2c "ku" };
+        Some
+          {
+            c2s = next_key secrets Client_to_server;
+            s2c = next_key secrets Server_to_client;
+          };
       t.app_phase <- t.app_phase + 1
 
 let application_phase t = t.app_phase
 
-let key_for secrets = function
-  | Client_to_server -> secrets.c2s
-  | Server_to_client -> secrets.s2c
-
 let tag_length = 8
 
-(* Keystream-XOR in one pass: splitmix-style stream seeded from
-   (key, packet number), consumed 8 bytes per mixing round, applied
-   directly while copying [src[off, off+len)] into a fresh string.
-   Encryption and decryption are the same operation. *)
-let crypt key ~pn src off len =
-  let out = Bytes.create len in
+(* Keystream-XOR of [src[soff, soff+len)] into [dst] at [doff]:
+   splitmix-style stream seeded from (key, packet number), consumed 8
+   bytes per mixing round. Encryption and decryption are the same
+   operation, and [src == dst, soff = doff] runs it in place. *)
+let crypt key ~pn src soff dst doff len =
   let state = ref (mix (fold_int (fold_string fnv_basis key) pn)) in
   let i = ref 0 in
   (* whole 64-bit lanes: the keystream block is consumed low byte
@@ -123,94 +134,109 @@ let crypt key ~pn src off len =
   while !i + 8 <= len do
     state := mix (!state + golden);
     let ks = Int64.logand (Int64.of_int !state) 0x7FFFFFFFFFFFFFFFL in
-    Bytes.set_int64_le out !i
-      (Int64.logxor (String.get_int64_le src (off + !i)) ks);
+    Bytes.set_int64_le dst (doff + !i)
+      (Int64.logxor (Bytes.get_int64_le src (soff + !i)) ks);
     i := !i + 8
   done;
   if !i < len then begin
     state := mix (!state + golden);
     let block = ref !state in
     while !i < len do
-      Bytes.unsafe_set out !i
+      Bytes.set dst (doff + !i)
         (Char.unsafe_chr
-           (Char.code (String.unsafe_get src (off + !i)) lxor (!block land 0xFF)));
+           (Char.code (Bytes.get src (soff + !i)) lxor (!block land 0xFF)));
       block := !block lsr 8;
       incr i
     done
-  end;
-  Bytes.unsafe_to_string out
+  end
 
-(* hash(key | pn | header | data) without building the concatenation *)
-let auth_hash key ~pn ~header data off len =
+(* hash(key | pn | header | plaintext) without building the
+   concatenation *)
+let auth_hash key ~pn hdr hoff hlen data doff dlen =
   let h = fold_string fnv_basis key in
   let h = fold_int (fold_byte h (Char.code '|')) pn in
-  let h = fold_string (fold_byte h (Char.code '|')) header in
-  let h = ref (fold_byte h (Char.code '|')) in
-  let i = ref off in
-  let stop = off + len in
-  while !i + 8 <= stop do
-    h := (!h lxor Int64.to_int (String.get_int64_le data !i)) * fnv_prime;
-    i := !i + 8
-  done;
-  while !i < stop do
-    h := (!h lxor Char.code (String.unsafe_get data !i)) * fnv_prime;
-    incr i
-  done;
-  mix !h
+  let h = fold_sub (fold_byte h (Char.code '|')) hdr hoff hlen in
+  mix (fold_sub (fold_byte h (Char.code '|')) data doff dlen)
 
-let auth_tag key ~pn ~header data =
-  bytes_of_hash (auth_hash key ~pn ~header data 0 (String.length data))
+(* The single implementation of packet protection. [seal_core] takes
+   the plaintext at [buf[off, off+n)], tags it (with the header at
+   [hdr[hoff, hoff+hlen)]), encrypts it where it lies and writes the
+   tag right after it. [open_core] decrypts [src[off, off+n-tag)] into
+   a fresh string and checks the trailing tag over that plaintext. *)
+let seal_core key ~pn hdr hoff hlen buf off n =
+  let tag = auth_hash key ~pn hdr hoff hlen buf off n in
+  crypt key ~pn buf off buf off n;
+  for i = 0 to tag_length - 1 do
+    Bytes.set buf (off + n + i)
+      (Char.unsafe_chr ((tag lsr (8 * (7 - i))) land 0xFF))
+  done
+
+let open_core key ~pn hdr hoff hlen src off n =
+  if n < tag_length then None
+  else begin
+    let body = n - tag_length in
+    let plaintext = Bytes.create body in
+    crypt key ~pn src off plaintext 0 body;
+    let tag = auth_hash key ~pn hdr hoff hlen plaintext 0 body in
+    (* constant-shape tag comparison against the trailing bytes *)
+    let ok = ref true in
+    for i = 0 to tag_length - 1 do
+      if
+        Char.code (Bytes.get src (off + body + i))
+        <> (tag lsr (8 * (7 - i))) land 0xFF
+      then ok := false
+    done;
+    if !ok then Some (Bytes.unsafe_to_string plaintext) else None
+  end
+
+let seal_in_place t level direction ~pn buf ~header_len ~payload_len =
+  match slot t level with
+  | None -> false
+  | Some secrets ->
+      seal_core (key_for secrets direction) ~pn buf 0 header_len buf header_len
+        payload_len;
+      true
+
+let open_at t level direction ~pn data ~header_len ~sealed_len =
+  match slot t level with
+  | None -> None
+  | Some secrets ->
+      let b = Bytes.unsafe_of_string data in
+      open_core (key_for secrets direction) ~pn b 0 header_len b header_len
+        sealed_len
+
+let open_updated_application_at t direction ~pn data ~header_len ~sealed_len =
+  match t.application with
+  | None -> None
+  | Some secrets ->
+      let b = Bytes.unsafe_of_string data in
+      open_core (next_key secrets direction) ~pn b 0 header_len b header_len
+        sealed_len
 
 let seal t level direction ~pn ~header plaintext =
   match slot t level with
   | None -> None
   | Some secrets ->
-      let key = key_for secrets direction in
       let n = String.length plaintext in
       let out = Bytes.create (n + tag_length) in
-      Bytes.blit_string (crypt key ~pn plaintext 0 n) 0 out 0 n;
-      let tag = auth_hash key ~pn ~header plaintext 0 n in
-      for i = 0 to tag_length - 1 do
-        Bytes.unsafe_set out (n + i)
-          (Char.unsafe_chr ((tag lsr (8 * (7 - i))) land 0xFF))
-      done;
+      Bytes.blit_string plaintext 0 out 0 n;
+      seal_core (key_for secrets direction) ~pn (Bytes.unsafe_of_string header)
+        0 (String.length header) out 0 n;
       Some (Bytes.unsafe_to_string out)
+
+let open_key key ~pn ~header sealed =
+  open_core key ~pn (Bytes.unsafe_of_string header) 0 (String.length header)
+    (Bytes.unsafe_of_string sealed) 0 (String.length sealed)
 
 let open_ t level direction ~pn ~header sealed =
   match slot t level with
   | None -> None
-  | Some secrets ->
-      let n = String.length sealed in
-      if n < tag_length then None
-      else begin
-        let key = key_for secrets direction in
-        let body = n - tag_length in
-        let plaintext = crypt key ~pn sealed 0 body in
-        let tag = auth_hash key ~pn ~header plaintext 0 body in
-        (* constant-shape tag comparison against the trailing bytes *)
-        let ok = ref true in
-        for i = 0 to tag_length - 1 do
-          if
-            Char.code (String.unsafe_get sealed (body + i))
-            <> (tag lsr (8 * (7 - i))) land 0xFF
-          then ok := false
-        done;
-        if !ok then Some plaintext else None
-      end
+  | Some secrets -> open_key (key_for secrets direction) ~pn ~header sealed
 
 let open_updated_application t direction ~pn ~header sealed =
   match t.application with
   | None -> None
-  | Some secrets ->
-      let next =
-        { initial = None;
-          handshake = None;
-          application =
-            Some { c2s = derive secrets.c2s "ku"; s2c = derive secrets.s2c "ku" };
-          app_phase = t.app_phase + 1;
-        }
-      in
-      open_ next Application_level direction ~pn ~header sealed
+  | Some secrets -> open_key (next_key secrets direction) ~pn ~header sealed
 
 let stateless_reset_token ~dcid =
   derive ("srt:" ^ dcid) "token" ^ derive ("srt2:" ^ dcid) "token"

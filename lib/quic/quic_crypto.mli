@@ -49,22 +49,65 @@ val has_level : t -> level -> bool
 
 val tag_length : int
 
+val seal_in_place :
+  t ->
+  level ->
+  direction ->
+  pn:int ->
+  Bytes.t ->
+  header_len:int ->
+  payload_len:int ->
+  bool
+(** [seal_in_place t level dir ~pn buf ~header_len ~payload_len]
+    protects a packet written once into [buf]: the header at
+    [[0, header_len)], the plaintext right after it, then
+    {!tag_length} bytes of room. The tag is taken over header,
+    packet number and plaintext, the plaintext is encrypted where it
+    lies and the tag written after it. [false] (and [buf] untouched)
+    when the level's keys are not installed. *)
+
+val open_at :
+  t ->
+  level ->
+  direction ->
+  pn:int ->
+  string ->
+  header_len:int ->
+  sealed_len:int ->
+  string option
+(** [open_at t level dir ~pn data ~header_len ~sealed_len] decrypts
+    and verifies the sealed body at [[header_len, header_len +
+    sealed_len)] of [data] against the header at [[0, header_len)],
+    reading both where they lie. [None] on missing keys or
+    authentication failure. *)
+
+val open_updated_application_at :
+  t ->
+  direction ->
+  pn:int ->
+  string ->
+  header_len:int ->
+  sealed_len:int ->
+  string option
+(** {!open_at} against the *next* 1-RTT key generation, without
+    committing the update (the receiver side of a peer-initiated key
+    update: commit with {!update_application} on success). *)
+
 val seal :
   t -> level -> direction -> pn:int -> header:string -> string -> string option
 (** [seal t level dir ~pn ~header plaintext] encrypts and authenticates
     (binding header and packet number), or [None] when the level's keys
-    are not installed. *)
+    are not installed. The same protection as {!seal_in_place}, with
+    header and plaintext given apart. *)
 
 val open_ :
   t -> level -> direction -> pn:int -> header:string -> string -> string option
-(** Decrypt and verify; [None] on missing keys or authentication
-    failure. *)
+(** {!open_at} with header and sealed body given apart. *)
 
 val open_updated_application :
   t -> direction -> pn:int -> header:string -> string -> string option
-(** Verify a 1-RTT payload against the *next* key generation without
-    committing the update (the receiver side of a peer-initiated key
-    update: commit with {!update_application} on success). *)
+(** {!open_updated_application_at} with header and sealed body given
+    apart. *)
 
 val stateless_reset_token : dcid:string -> string
 (** The 16-byte stateless reset token associated with a connection id

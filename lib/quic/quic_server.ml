@@ -39,7 +39,10 @@ type t = {
   mutable initial_pn : int;
   mutable handshake_pn : int;
   mutable app_pn : int;
-  mutable largest_recv : (P.ptype * int) list;  (** largest pn per space *)
+  mutable largest_initial : int;
+  mutable largest_handshake : int;
+  mutable largest_app : int;
+      (** largest pn received per space, -1 for none *)
   mutable conn_max_data : int;  (** client's MAX_DATA limit on our sending *)
   mutable total_sent : int;
   streams : (int, stream) Hashtbl.t;
@@ -64,7 +67,9 @@ let create ?(profile = Quic_profile.quiche_like) rng =
     initial_pn = 0;
     handshake_pn = 0;
     app_pn = 0;
-    largest_recv = [];
+    largest_initial = -1;
+    largest_handshake = -1;
+    largest_app = -1;
     conn_max_data = 0;
     total_sent = 0;
     streams = Hashtbl.create 4;
@@ -86,7 +91,9 @@ let reset t =
   t.initial_pn <- 0;
   t.handshake_pn <- 0;
   t.app_pn <- 0;
-  t.largest_recv <- [];
+  t.largest_initial <- -1;
+  t.largest_handshake <- -1;
+  t.largest_app <- -1;
   t.conn_max_data <- 0;
   t.total_sent <- 0;
   Hashtbl.reset t.streams;
@@ -100,17 +107,20 @@ let scid t = t.scid_
 
 (* --- packet-number bookkeeping --- *)
 
-let space_key (ptype : P.ptype) : P.ptype =
-  match ptype with P.Zero_rtt -> P.Short | other -> other
-
+(* 0-RTT and 1-RTT share the application space. *)
 let note_received t (p : P.t) =
-  let key = space_key p.P.ptype in
-  let current = try List.assoc key t.largest_recv with Not_found -> -1 in
-  t.largest_recv <-
-    (key, max current p.P.pn) :: List.remove_assoc key t.largest_recv
+  match p.P.ptype with
+  | P.Initial -> t.largest_initial <- Int.max t.largest_initial p.P.pn
+  | P.Handshake -> t.largest_handshake <- Int.max t.largest_handshake p.P.pn
+  | P.Short | P.Zero_rtt -> t.largest_app <- Int.max t.largest_app p.P.pn
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> ()
 
-let largest_received t ptype =
-  try List.assoc (space_key ptype) t.largest_recv with Not_found -> -1
+let largest_received t (ptype : P.ptype) =
+  match ptype with
+  | P.Initial -> t.largest_initial
+  | P.Handshake -> t.largest_handshake
+  | P.Short | P.Zero_rtt -> t.largest_app
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
 let next_pn t (ptype : P.ptype) =
   match ptype with
@@ -253,7 +263,10 @@ let handle_initial t ~port (p : P.t) =
                  (the Issue-3 trigger). *)
               []
             else if
-              mode = Quic_profile.Retry_abort_on_pns_reset
+              (match mode with
+              | Quic_profile.Retry_abort_on_pns_reset -> true
+              | Quic_profile.No_retry | Quic_profile.Retry_tolerant_pns_reset ->
+                  false)
               && p.P.pn <= t.largest_pre_retry_pn
             then
               connection_close t ~space:P.Initial ~error:0x0A
@@ -356,6 +369,11 @@ let pump_stream t id stream =
     !frames
   end
 
+let answers_challenge t data =
+  match t.outstanding_challenge with
+  | Some challenge -> String.equal challenge data
+  | None -> false
+
 let handle_short t ~port (p : P.t) =
   if has_handshake_done p.P.frames then
     connection_close t ~space:P.Short ~error:0x0A
@@ -368,7 +386,8 @@ let handle_short t ~port (p : P.t) =
     (* Connection migration (RFC 9000 §9): a packet from a new source
        port triggers path validation; the new path is adopted once the
        client echoes our challenge. *)
-    if port <> t.active_port && t.outstanding_challenge = None then begin
+    if port <> t.active_port && Option.is_none t.outstanding_challenge then
+    begin
       let data = Rng.bytes t.rng 8 in
       t.outstanding_challenge <- Some data;
       reply_frames := !reply_frames @ [ Frame.Path_challenge data ]
@@ -376,7 +395,7 @@ let handle_short t ~port (p : P.t) =
     List.iter
       (fun frame ->
         match frame with
-        | Frame.Path_response data when t.outstanding_challenge = Some data ->
+        | Frame.Path_response data when answers_challenge t data ->
             t.outstanding_challenge <- None;
             t.active_port <- port
         | Frame.Max_data v -> t.conn_max_data <- max t.conn_max_data v
@@ -416,28 +435,32 @@ let handle_short t ~port (p : P.t) =
       (fun id s -> reply_frames := !reply_frames @ pump_stream t id s)
       t.streams;
     let ack_eliciting = List.exists Frame.is_ack_eliciting p.P.frames in
-    if !reply_frames <> [] then send t P.Short (ack_frame t P.Short :: !reply_frames)
-    else if ack_eliciting then send t P.Short [ ack_frame t P.Short ]
-    else []
+    match !reply_frames with
+    | _ :: _ as frames -> send t P.Short (ack_frame t P.Short :: frames)
+    | [] when ack_eliciting -> send t P.Short [ ack_frame t P.Short ]
+    | [] -> []
   end
 
 let install_initial_keys_if_needed t data =
   (* In Idle (or awaiting the post-Retry Initial) the server derives
-     initial keys from the long header's destination connection id. *)
+     initial keys from the long header's destination connection id;
+     later phases never read it, so it is cut out only then. *)
   if String.length data > 6 && Char.code data.[0] land 0x80 <> 0 then begin
     let dcid_len = Char.code data.[5] in
-    if String.length data >= 6 + dcid_len then begin
-      let dcid = String.sub data 6 dcid_len in
+    if String.length data >= 6 + dcid_len then
       match t.phase with
       | Idle ->
+          let dcid = String.sub data 6 dcid_len in
           t.odcid <- dcid;
           t.scid_ <- dcid;
           C.install_initial t.crypto ~dcid
-      | Address_validation when dcid = t.retry_scid ->
-          t.scid_ <- t.retry_scid;
-          C.install_initial t.crypto ~dcid
-      | Address_validation | Handshake_in_progress | Confirmed | Closing -> ()
-    end
+      | Address_validation ->
+          let dcid = String.sub data 6 dcid_len in
+          if dcid = t.retry_scid then begin
+            t.scid_ <- t.retry_scid;
+            C.install_initial t.crypto ~dcid
+          end
+      | Handshake_in_progress | Confirmed | Closing -> ()
   end
 
 let handle_datagram t ~port data =
@@ -451,9 +474,11 @@ let handle_datagram t ~port data =
       | P.Undecodable _ -> []
       | P.Reset_detected _ -> []
       | P.Decoded p -> begin
-          if p.P.ptype <> P.Retry && p.P.ptype <> P.Version_negotiation then
-            note_received t p;
-          if p.P.version <> P.draft29 && p.P.ptype = P.Initial then begin
+          note_received t p;
+          if
+            p.P.version <> P.draft29
+            && match p.P.ptype with P.Initial -> true | _ -> false
+          then begin
             (* Unknown version: offer ours. *)
             let vn =
               P.make P.Version_negotiation ~version:P.draft29 ~dcid:p.P.scid

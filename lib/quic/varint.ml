@@ -7,35 +7,32 @@ let encoded_length v =
   else if v < 1 lsl 30 then 4
   else 8
 
-let encode buf v =
-  match encoded_length v with
-  | 1 -> Buffer.add_char buf (Char.chr v)
-  | 2 ->
-      Buffer.add_char buf (Char.chr (0x40 lor (v lsr 8)));
-      Buffer.add_char buf (Char.chr (v land 0xFF))
-  | 4 ->
-      Buffer.add_char buf (Char.chr (0x80 lor (v lsr 24)));
-      Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-      Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-      Buffer.add_char buf (Char.chr (v land 0xFF))
-  | _ ->
-      Buffer.add_char buf (Char.chr (0xC0 lor ((v lsr 56) land 0x3F)));
-      for shift = 6 downto 0 do
-        Buffer.add_char buf (Char.chr ((v lsr (shift * 8)) land 0xFF))
-      done
+let write b off v =
+  let n = encoded_length v in
+  (* the two length bits sit above the value's top byte *)
+  let prefix = match n with 1 -> 0x00 | 2 -> 0x40 | 4 -> 0x80 | _ -> 0xC0 in
+  let last = off + n - 1 in
+  let top = (v lsr (8 * (n - 1))) land 0x3F in
+  Bytes.set b off (Char.unsafe_chr (prefix lor top));
+  for i = off + 1 to last do
+    Bytes.set b i (Char.unsafe_chr ((v lsr (8 * (last - i))) land 0xFF))
+  done;
+  off + n
 
 let encode_to_string v =
-  let buf = Buffer.create 8 in
-  encode buf v;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_length v) in
+  ignore (write b 0 v);
+  Bytes.unsafe_to_string b
 
-let decode s off =
-  if off >= String.length s then invalid_arg "Varint.decode: out of bounds";
+let read s pos =
+  let off = !pos in
+  if off >= String.length s then invalid_arg "Varint.read: out of bounds";
   let first = Char.code s.[off] in
   let len = 1 lsl (first lsr 6) in
-  if off + len > String.length s then invalid_arg "Varint.decode: truncated";
+  if off + len > String.length s then invalid_arg "Varint.read: truncated";
   let v = ref (first land 0x3F) in
   for i = 1 to len - 1 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
+    v := (!v lsl 8) lor Char.code (String.unsafe_get s (off + i))
   done;
-  (!v, off + len)
+  pos := off + len;
+  !v

@@ -12,9 +12,13 @@ val encoded_length : int -> int
     @raise Invalid_argument for negative values or values above
     {!max_value}. *)
 
-val encode : Buffer.t -> int -> unit
+val write : Bytes.t -> int -> int -> int
+(** [write b off v] writes [v] at [off] and returns the offset just
+    past it; [b] must have {!encoded_length}[ v] bytes of room there.
+    @raise Invalid_argument as {!encoded_length}. *)
+
 val encode_to_string : int -> string
 
-val decode : string -> int -> int * int
-(** [decode s off] is [(value, next_offset)].
+val read : string -> int ref -> int
+(** [read s pos] is the value at [!pos]; [pos] is advanced past it.
     @raise Invalid_argument when the string is too short. *)

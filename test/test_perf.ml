@@ -4,9 +4,10 @@
    byte-identically, and the sharded equivalence oracle produces the
    same model as a sequential run. The lean SUL stack is pinned too:
    DTLS record protection matches known answers, the non-recording
-   adapter view answers as the recording one does, and QUIC outputs
-   render to the same strings. These run under the @perf alias, next to
-   the counter gate in CI. *)
+   adapter view answers as the recording one does, QUIC outputs render
+   to the same strings, and every QUIC datagram and IPv4 datagram is
+   byte-identical to known answers. These run under the @perf alias,
+   next to the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
 module Cache = Prognosis_learner.Cache
@@ -14,6 +15,10 @@ module Metrics = Prognosis_obs.Metrics
 module Engine = Prognosis_exec.Engine
 module Quic_alphabet = Prognosis_quic.Quic_alphabet
 module Quic_profile = Prognosis_quic.Quic_profile
+module Quic_client = Prognosis_quic.Quic_client
+module Quic_server = Prognosis_quic.Quic_server
+module Inet = Prognosis_sul.Inet
+module Rng = Prognosis_sul.Rng
 module Sul = Prognosis_sul.Sul
 module Adapter = Prognosis_sul.Adapter
 module C = Prognosis_dtls.Dtls_crypto
@@ -439,6 +444,171 @@ let quic_strings_match_reference () =
         Alcotest.failf "output_to_string differs from %S" want)
     (lists_upto 2 (apackets 1))
 
+(* --- the QUIC datagram path: wire known answers --- *)
+
+type wire_action = Sym of Quic_alphabet.symbol | Migrate | Key_update
+
+(* Every symbol, the queued PATH_RESPONSE included, plus the client's
+   two out-of-band actions. *)
+let wire_actions =
+  Array.concat
+    [
+      Array.map (fun s -> Sym s) Quic_alphabet.extended;
+      [| Sym Quic_alphabet.Short_ack_path_response; Migrate; Key_update |];
+    ]
+
+(* One step through client, UDP/IPv4 both ways and server, as
+   Quic_adapter does on a reliable channel. Every IPv4 datagram and
+   what [unwrap_udp] reads back from it go to [emit]; the abstract
+   output is returned. *)
+let wire_step ~emit client server symbol =
+  let client_ip = 0x0A000001 and server_ip = 0x0A000002 in
+  let unwrap datagram =
+    match Inet.unwrap_udp datagram with
+    | Ok (port, payload) ->
+        emit datagram port payload;
+        Some (port, payload)
+    | Error e -> Alcotest.failf "unwrap_udp: %s" e
+  in
+  match Quic_client.concretize client symbol with
+  | None -> []
+  | Some (wire, _) ->
+      let port = Quic_client.port client in
+      let responses =
+        match
+          unwrap
+            (Inet.wrap_udp ~src:client_ip ~dst:server_ip ~src_port:port
+               ~dst_port:443 wire)
+        with
+        | Some (port, payload) ->
+            Quic_server.handle_datagram server ~port payload
+        | None -> []
+      in
+      List.filter_map
+        (fun payload ->
+          match
+            unwrap
+              (Inet.wrap_udp ~src:server_ip ~dst:client_ip ~src_port:443
+                 ~dst_port:port payload)
+          with
+          | None -> None
+          | Some (_, payload) -> (
+              match Quic_client.absorb client payload with
+              | Quic_client.Packet p -> Some (Quic_alphabet.abstract_packet p)
+              | Quic_client.Reset -> Some Quic_alphabet.abstract_reset
+              | Quic_client.Junk _ -> None))
+        responses
+
+(* Digest of every datagram and abstract output over all profiles x 6
+   seeds x 400 fixed random words with migrations and key updates
+   mixed in; each output is also checked against Quic_adapter's. *)
+let quic_wire_digest () =
+  let digests = Buffer.create (1 lsl 20) in
+  let datagrams = ref 0 in
+  let emit datagram port payload =
+    incr datagrams;
+    Buffer.add_string digests (Digest.string datagram);
+    Buffer.add_string digests (string_of_int port);
+    Buffer.add_string digests (Digest.string payload)
+  in
+  List.iteri
+    (fun pi profile ->
+      for seed = 1 to 6 do
+        let seed = Int64.of_int seed in
+        (* the adapter's own RNG split, so both runs see the same draws *)
+        let rng = Rng.create seed in
+        let server = Quic_server.create ~profile (Rng.split rng) in
+        let client = Quic_client.create (Rng.split rng) in
+        let adapter, adapter_client =
+          Prognosis_quic.Quic_adapter.create ~profile ~seed ()
+        in
+        let words = Rng.create (Int64.add (Int64.of_int (100 * pi)) seed) in
+        for _ = 1 to 400 do
+          Quic_server.reset server;
+          Quic_client.reset client;
+          adapter.Adapter.reset ();
+          for _ = 1 to 1 + Rng.int words 10 do
+            match wire_actions.(Rng.int words (Array.length wire_actions)) with
+            | Migrate ->
+                Quic_client.migrate client;
+                Quic_client.migrate adapter_client
+            | Key_update ->
+                Quic_client.initiate_key_update client;
+                Quic_client.initiate_key_update adapter_client
+            | Sym symbol ->
+                let o = wire_step ~emit client server symbol in
+                let o', _, _ = adapter.Adapter.step symbol in
+                let s = Quic_alphabet.output_to_string o in
+                if s <> Quic_alphabet.output_to_string o' then
+                  Alcotest.failf "adapter output %s, driver %s"
+                    (Quic_alphabet.output_to_string o') s;
+                Buffer.add_string digests (Digest.string s)
+          done
+        done
+      done)
+    Quic_profile.all;
+  (* captured from the implementation that built each packet in two
+     Buffers and copied payloads through separate IPv4 and UDP codecs *)
+  Alcotest.(check int) "datagrams" 46128 !datagrams;
+  Alcotest.(check string) "digest" "a0bfdd887ffcacfdda15e319d0077fbd"
+    (Digest.to_hex (Digest.string (Buffer.contents digests)))
+
+(* IPv4 (+ UDP) datagrams captured from the two-codec implementation. *)
+let wrap_tcp_answers =
+  [
+    (0x0A000001, 0x0A000002, "", "4500001400000000400666e20a0000010a000002");
+    ( 0x0A000002, 0x0A000001, "\x01",
+      "4500001500000000400666e10a0000020a00000101" );
+    ( 0xC0A80001, 0xFFFFFFFF, "abc",
+      "45000017000000004006ba38c0a80001ffffffff616263" );
+    ( 0x0A000001, 0x0A000002, kat_payload,
+      "45000078000000004006667e0a0000010a000002" ^ hex kat_payload );
+  ]
+
+let wrap_udp_answers =
+  [
+    ( 0x0A000001, 0x0A000002, 50123, 443, "",
+      "4500001c00000000401166cf0a0000010a000002c3cb01bb00082655" );
+    ( 0x0A000002, 0x0A000001, 443, 50123, "\x01",
+      "4500001d00000000401166ce0a0000020a00000101bbc3cb0009255301" );
+    ( 0xC0A80001, 0xFFFFFFFF, 0, 65535, "abc",
+      "4500001f000000004011ba25c0a80001ffffffff0000ffff000b7acc616263" );
+    ( 0x0A000001, 0x0A000002, 4433, 4433, kat_payload,
+      "45000080000000004011666b0a0000010a00000211511151006c6fdf"
+      ^ hex kat_payload );
+  ]
+
+let inet_known_answers () =
+  List.iter
+    (fun (src, dst, payload, want) ->
+      let name = Printf.sprintf "tcp, %d bytes" (String.length payload) in
+      let datagram = Inet.wrap_tcp ~src ~dst payload in
+      Alcotest.(check string) ("wrap " ^ name) want (hex datagram);
+      Alcotest.(check (result string string))
+        ("unwrap " ^ name) (Ok payload) (Inet.unwrap_tcp datagram))
+    wrap_tcp_answers;
+  List.iter
+    (fun (src, dst, src_port, dst_port, payload, want) ->
+      let name = Printf.sprintf "udp, %d bytes" (String.length payload) in
+      let datagram = Inet.wrap_udp ~src ~dst ~src_port ~dst_port payload in
+      Alcotest.(check string) ("wrap " ^ name) want (hex datagram);
+      Alcotest.(check (result (pair int string) string))
+        ("unwrap " ^ name)
+        (Ok (src_port, payload))
+        (Inet.unwrap_udp datagram))
+    wrap_udp_answers
+
+let prop_udp_roundtrip =
+  QCheck2.Test.make ~count:500 ~name:"unwrap_udp (wrap_udp p) = Ok (port, p)"
+    QCheck2.Gen.(
+      pair
+        (quad (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF) (int_bound 0xFFFF)
+           (int_bound 0xFFFF))
+        (string_size (int_range 0 300)))
+    (fun ((src, dst, src_port, dst_port), payload) ->
+      Inet.unwrap_udp (Inet.wrap_udp ~src ~dst ~src_port ~dst_port payload)
+      = Ok (src_port, payload))
+
 let () =
   Alcotest.run "perf"
     [
@@ -482,5 +652,11 @@ let () =
         [
           Alcotest.test_case "byte-identical to sprintf" `Quick
             quic_strings_match_reference;
+        ] );
+      ( "quic-wire",
+        [
+          Alcotest.test_case "datagram digest" `Quick quic_wire_digest;
+          Alcotest.test_case "IPv4 known answers" `Quick inet_known_answers;
+          QCheck_alcotest.to_alcotest prop_udp_roundtrip;
         ] );
     ]

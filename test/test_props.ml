@@ -32,23 +32,26 @@ let gen_varint_value =
 let prop_varint_roundtrip =
   QCheck2.Test.make ~count:1000 ~name:"varint roundtrip" gen_varint_value (fun v ->
       let s = Varint.encode_to_string v in
-      let v', off = Varint.decode s 0 in
-      v = v' && off = String.length s)
+      let pos = ref 0 in
+      let v' = Varint.read s pos in
+      v = v' && !pos = String.length s)
 
 let prop_varint_sequence =
   QCheck2.Test.make ~count:300 ~name:"varint sequences decode in order"
     QCheck2.Gen.(list_size (gen 1 20) gen_varint_value)
     (fun values ->
-      let buf = Buffer.create 64 in
-      List.iter (Varint.encode buf) values;
-      let s = Buffer.contents buf in
-      let rec decode_all off acc =
-        if off >= String.length s then List.rev acc
-        else
-          let v, off' = Varint.decode s off in
-          decode_all off' (v :: acc)
+      let b =
+        Bytes.create
+          (List.fold_left (fun n v -> n + Varint.encoded_length v) 0 values)
       in
-      decode_all 0 [] = values)
+      let stop = List.fold_left (Varint.write b) 0 values in
+      let s = Bytes.to_string b in
+      let pos = ref 0 in
+      let rec decode_all acc =
+        if !pos >= String.length s then List.rev acc
+        else decode_all (Varint.read s pos :: acc)
+      in
+      stop = String.length s && decode_all [] = values)
 
 let prop_varint_length_monotone =
   QCheck2.Test.make ~count:500 ~name:"varint length is monotone"

@@ -12,9 +12,10 @@ let varint_roundtrip () =
   List.iter
     (fun v ->
       let s = Varint.encode_to_string v in
-      let v', off = Varint.decode s 0 in
+      let pos = ref 0 in
+      let v' = Varint.read s pos in
       Alcotest.(check int) (Printf.sprintf "value %d" v) v v';
-      Alcotest.(check int) "consumed all" (String.length s) off)
+      Alcotest.(check int) "consumed all" (String.length s) !pos)
     [ 0; 1; 63; 64; 16383; 16384; 1073741823; 1073741824; Varint.max_value ]
 
 let varint_lengths () =
@@ -654,6 +655,276 @@ let issue1_model_size_difference () =
     (Printf.sprintf "tolerant(%d) > strict(%d)" st ss)
     true (st > ss)
 
+(* --- decoders under structurally valid mutations --- *)
+
+(* Random or mutated bytes mostly die at the first checksum or AEAD
+   tag. These inputs are mutated *before* those are applied, so the
+   length fields, frame types and frame-length varints behind them
+   reach the decoders. *)
+
+type fuzz_case = {
+  ptype : int;  (** 0-3: long-header type bits; 4: short header *)
+  cid_len : int option;  (** replaces the dcid length byte *)
+  token_len : int option;  (** Initial: replaces the token-length varint *)
+  packet_len : int option;  (** replaces the packet-length varint *)
+  frames : Frame.t list;
+  pokes : (int * int) list;  (** (position, byte) writes into the plaintext *)
+  ip_total : int option;  (** replaces the IPv4 total length *)
+  udp_len : int option;  (** replaces the UDP length *)
+}
+
+(* RFC 1071 over [b[off, off+len)] plus [acc]. *)
+let ones_sum acc b off len =
+  let sum = ref acc in
+  for i = 0 to (len / 2) - 1 do
+    sum := !sum + Bytes.get_uint16_be b (off + (2 * i))
+  done;
+  if len land 1 = 1 then
+    sum := !sum + (Bytes.get_uint8 b (off + len - 1) lsl 8);
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xFFFF
+
+(* Rewrite the IPv4 total length and the UDP length of a wrap_udp
+   datagram, then recompute both checksums over the rewritten fields
+   (the UDP one over as many bytes as its new length claims, when they
+   exist), so both checksum checks pass. *)
+let relength_udp datagram ~ip_total ~udp_len =
+  let b = Bytes.of_string datagram in
+  Option.iter (Bytes.set_uint16_be b 2) ip_total;
+  Option.iter (Bytes.set_uint16_be b 24) udp_len;
+  let udp_len = Bytes.get_uint16_be b 24 in
+  if udp_len >= 8 && 20 + udp_len <= Bytes.length b then begin
+    Bytes.set_uint16_be b 26 0;
+    let pseudo =
+      Bytes.get_uint16_be b 12 + Bytes.get_uint16_be b 14
+      + Bytes.get_uint16_be b 16 + Bytes.get_uint16_be b 18 + 17 + udp_len
+    in
+    let sum = ones_sum pseudo b 20 udp_len in
+    Bytes.set_uint16_be b 26 (if sum = 0 then 0xFFFF else sum)
+  end;
+  Bytes.set_uint16_be b 10 0;
+  Bytes.set_uint16_be b 10 (ones_sum 0 b 0 20);
+  Bytes.to_string b
+
+(* A protected packet from the fields of [c], sealed with [crypto]
+   (Retry gets its integrity tag) after every mutation. *)
+let build_mutated c ~crypto ~sender ~dcid ~scid =
+  let token = "tok-0123456789" in
+  let pn = 7 in
+  let plaintext = Bytes.of_string (Frame.encode_all c.frames) in
+  List.iter
+    (fun (pos, v) ->
+      if Bytes.length plaintext > 0 then
+        Bytes.set_uint8 plaintext (pos mod Bytes.length plaintext) v)
+    c.pokes;
+  let plaintext = Bytes.to_string plaintext in
+  let header = Buffer.create 64 in
+  let add_varint v = Buffer.add_string header (Varint.encode_to_string v) in
+  let add_u32 v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int v);
+    Buffer.add_bytes header b
+  in
+  let level =
+    match c.ptype with
+    | 0 -> Quic_crypto.Initial_level
+    | 2 -> Quic_crypto.Handshake_level
+    | _ -> Quic_crypto.Application_level
+  in
+  if c.ptype = 4 then begin
+    Buffer.add_char header '\x43';
+    Buffer.add_string header dcid;
+    add_u32 pn
+  end
+  else begin
+    Buffer.add_char header (Char.chr (0xC3 lor (c.ptype lsl 4)));
+    add_u32 Quic_packet.draft29;
+    Buffer.add_char header
+      (Char.chr (Option.value c.cid_len ~default:(String.length dcid)));
+    Buffer.add_string header dcid;
+    Buffer.add_char header (Char.chr (String.length scid));
+    Buffer.add_string header scid;
+    if c.ptype = 0 then begin
+      add_varint (Option.value c.token_len ~default:(String.length token));
+      Buffer.add_string header token
+    end;
+    if c.ptype <> 3 then begin
+      add_varint
+        (Option.value c.packet_len
+           ~default:(4 + String.length plaintext + Quic_crypto.tag_length));
+      add_u32 pn
+    end
+  end;
+  let header = Buffer.contents header in
+  if c.ptype = 3 then
+    header ^ token ^ Quic_packet.retry_integrity_tag ~dcid ~scid ~token
+  else
+    match Quic_crypto.seal crypto level sender ~pn ~header plaintext with
+    | Some sealed -> header ^ sealed
+    | None -> header ^ plaintext
+
+let gen_fuzz_case =
+  let open QCheck2.Gen in
+  let length_field =
+    opt (oneof [ int_range 0 80; int_range 0 Varint.max_value ])
+  in
+  let frame =
+    oneofl
+      Frame.
+        [
+          Padding 2;
+          Ping;
+          Ack { largest = 3; delay = 0; first_range = 1 };
+          Crypto { offset = 0; data = "CH:0123456789abcdef;md=100;msd=50" };
+          Crypto { offset = 0; data = "CFIN" };
+          Stream { id = 0; offset = 0; data = "GET /index"; fin = true };
+          Max_data 1000;
+          Max_stream_data { stream_id = 0; max = 200 };
+          New_connection_id
+            {
+              seq = 1;
+              retire_prior = 0;
+              cid = "abcdefgh";
+              reset_token = String.make 16 't';
+            };
+          Path_challenge "12345678";
+          Path_response "87654321";
+          Stop_sending { stream_id = 0; error = 1 };
+          Connection_close
+            { error = 10; frame_type = 0; reason = "bye"; app = false };
+          Handshake_done;
+        ]
+  in
+  (* frame-type values, varint length prefixes and plain noise *)
+  let poke_byte =
+    oneof
+      [
+        int_range 0 0x1F;
+        oneofl [ 0x40; 0x7F; 0x80; 0xBF; 0xC0; 0xFF ];
+        int_range 0 255;
+      ]
+  in
+  let* ptype = int_range 0 4 in
+  let* cid_len = opt ~ratio:0.3 (int_range 0 255) in
+  let* token_len = length_field in
+  let* packet_len = length_field in
+  let* frames = list_size (int_range 0 4) frame in
+  let* pokes = list_size (int_range 0 3) (pair (int_range 0 200) poke_byte) in
+  let* ip_total = opt ~ratio:0.3 (int_range 0 400) in
+  let+ udp_len = opt ~ratio:0.3 (int_range 0 400) in
+  { ptype; cid_len; token_len; packet_len; frames; pokes; ip_total; udp_len }
+
+(* Unmutated, the builder's packets pass every check, so the mutations
+   above are what the decoders see. *)
+let fuzz_builder_valid () =
+  let crypto = fresh_crypto () in
+  List.iter
+    (fun ptype ->
+      let c =
+        {
+          ptype;
+          cid_len = None;
+          token_len = None;
+          packet_len = None;
+          frames = [ Frame.Ping; Frame.Max_data 7 ];
+          pokes = [];
+          ip_total = None;
+          udp_len = None;
+        }
+      in
+      let quic =
+        build_mutated c ~crypto ~sender:Quic_crypto.Client_to_server
+          ~dcid:"8bytecid" ~scid:"scid-456"
+      in
+      let udp =
+        Prognosis_sul.Inet.wrap_udp ~src:1 ~dst:2 ~src_port:3 ~dst_port:4 quic
+      in
+      Alcotest.(check string) "relength without changes" udp
+        (relength_udp udp ~ip_total:None ~udp_len:None);
+      (match Prognosis_sul.Inet.unwrap_udp udp with
+      | Ok (_, payload) -> Alcotest.(check string) "udp payload" quic payload
+      | Error e -> Alcotest.fail e);
+      match
+        Quic_packet.decode ~crypto ~sender:Quic_crypto.Client_to_server
+          ~reset_tokens:[] quic
+      with
+      | Quic_packet.Decoded p ->
+          Alcotest.(check int)
+            (Printf.sprintf "type %d frames" ptype)
+            (if ptype = 3 then 0 else 2)
+            (List.length p.Quic_packet.frames)
+      | Quic_packet.Reset_detected _ -> Alcotest.fail "reset"
+      | Quic_packet.Undecodable e -> Alcotest.failf "type %d: %s" ptype e)
+    [ 0; 1; 2; 3; 4 ]
+
+let prop_decoders_never_raise =
+  QCheck2.Test.make ~count:1500
+    ~name:
+      "mutated lengths, frame types and varints under valid checksums \
+       and tags never raise"
+    QCheck2.Gen.(
+      pair gen_fuzz_case (int_range 0 (List.length Quic_profile.all - 1)))
+    (fun (c, profile) ->
+      let profile = List.nth Quic_profile.all profile in
+      let server, client = make_pair ~profile 3L in
+      (* the client's initial keys come from the dcid of its first
+         Initial; a server's from the dcid it is sent *)
+      let odcid =
+        match Quic_client.concretize client Quic_alphabet.Initial_crypto with
+        | Some (wire, _) -> String.sub wire 6 Quic_packet.cid_length
+        | None -> Alcotest.fail "no initial"
+      in
+      let crypto = fresh_crypto () in
+      let to_client = Quic_crypto.create () in
+      Quic_crypto.install_initial to_client ~dcid:odcid;
+      let to_server = Quic_crypto.create () in
+      Quic_crypto.install_initial to_server ~dcid:"8bytecid";
+      let datagrams =
+        [
+          ( `Decoder,
+            build_mutated c ~crypto ~sender:Quic_crypto.Client_to_server
+              ~dcid:"8bytecid" ~scid:"scid-456" );
+          ( `Server,
+            build_mutated c ~crypto:to_server
+              ~sender:Quic_crypto.Client_to_server ~dcid:"8bytecid"
+              ~scid:"scid-456" );
+          ( `Client,
+            build_mutated c ~crypto:to_client
+              ~sender:Quic_crypto.Server_to_client ~dcid:"cl-scid8"
+              ~scid:"sv-scid8" );
+        ]
+      in
+      List.iter
+        (fun (target, quic) ->
+          let udp =
+            relength_udp
+              (Prognosis_sul.Inet.wrap_udp ~src:0x0A000001 ~dst:0x0A000002
+                 ~src_port:50000 ~dst_port:443 quic)
+              ~ip_total:c.ip_total ~udp_len:c.udp_len
+          in
+          let payloads =
+            match Prognosis_sul.Inet.unwrap_udp udp with
+            | Ok (_, payload) -> [ quic; payload ]
+            | Error _ -> [ quic ]
+          in
+          List.iter
+            (fun payload ->
+              match target with
+              | `Decoder ->
+                  ignore
+                    (Quic_packet.decode ~crypto
+                       ~sender:Quic_crypto.Client_to_server
+                       ~reset_tokens:[ String.make 16 't' ] payload)
+              | `Server ->
+                  ignore
+                    (Quic_server.handle_datagram server ~port:50000 payload)
+              | `Client -> ignore (Quic_client.absorb client payload))
+            payloads)
+        datagrams;
+      true)
+
 let () =
   Alcotest.run "quic"
     [
@@ -685,6 +956,12 @@ let () =
           Alcotest.test_case "retry" `Quick packet_retry_roundtrip;
           Alcotest.test_case "wrong keys" `Quick packet_wrong_keys_undecodable;
           Alcotest.test_case "stateless reset" `Quick stateless_reset_detection;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "builder makes valid packets" `Quick
+            fuzz_builder_valid;
+          QCheck_alcotest.to_alcotest prop_decoders_never_raise;
         ] );
       ( "connection",
         [

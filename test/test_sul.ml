@@ -233,6 +233,42 @@ let wrap_unwrap_udp () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "protocol mismatch must be rejected"
 
+(* A total-length field below the 20-byte header, under a valid header
+   checksum, once made every IPv4 decoder raise Invalid_argument from
+   String.sub. *)
+let with_ipv4_total datagram total =
+  let b = Bytes.of_string datagram in
+  Bytes.set_uint16_be b 2 total;
+  Bytes.set_uint16_be b 10 0;
+  let sum = ref 0 in
+  for i = 0 to 9 do
+    sum := !sum + Bytes.get_uint16_be b (2 * i)
+  done;
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  Bytes.set_uint16_be b 10 (lnot !sum land 0xFFFF);
+  Bytes.to_string b
+
+let ipv4_short_total_length () =
+  let udp =
+    Inet.wrap_udp ~src:7 ~dst:8 ~src_port:5555 ~dst_port:443 "payload"
+  in
+  let tcp = Inet.wrap_tcp ~src:7 ~dst:8 "segment" in
+  (* the helper reproduces a valid header: unchanged total, same bytes *)
+  Alcotest.(check string) "checksum helper" udp
+    (with_ipv4_total udp (String.length udp));
+  for total = 0 to 19 do
+    let name what = Printf.sprintf "%s, total length %d" what total in
+    let is_error = function Error _ -> true | Ok _ -> false in
+    Alcotest.(check bool) (name "Ipv4.decode") true
+      (is_error (Inet.Ipv4.decode (with_ipv4_total udp total)));
+    Alcotest.(check bool) (name "unwrap_udp") true
+      (is_error (Inet.unwrap_udp (with_ipv4_total udp total)));
+    Alcotest.(check bool) (name "unwrap_tcp") true
+      (is_error (Inet.unwrap_tcp (with_ipv4_total tcp total)))
+  done
+
 (* --- oracle table --- *)
 
 let table_add_find () =
@@ -457,6 +493,8 @@ let () =
           Alcotest.test_case "udp roundtrip" `Quick udp_roundtrip;
           Alcotest.test_case "udp pseudo-header" `Quick udp_pseudo_header_binds_addresses;
           Alcotest.test_case "wrap/unwrap" `Quick wrap_unwrap_udp;
+          Alcotest.test_case "total length below header" `Quick
+            ipv4_short_total_length;
         ] );
       ( "oracle-table",
         [
