@@ -389,7 +389,11 @@ let a1_algorithm_and_cache () =
             ~max_len:12;
         ]
     in
-    Learn.run ~algorithm ~cache ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul ~eq ()
+    let inputs = Prognosis_tcp.Tcp_alphabet.all in
+    if cache then Learn.run ~algorithm ~inputs ~sul ~eq ()
+    else
+      Learn.run_mq ~algorithm ~inputs ~mq:(Prognosis_learner.Oracle.of_sul sul)
+        ~eq ()
   in
   let row name algorithm cache =
     let r = run algorithm cache in
@@ -1136,15 +1140,15 @@ let f1_fingerprint () =
       ("novel_reidentify_words", Jsonx.Int second.Identify.words_asked);
     ]
 
-(* --- F2: fleet identification over a shared, sharded cache --- *)
+(* --- F2: fleet identification over a shared cache --- *)
 
 module Service = Prognosis_service.Service
 module Subject = Prognosis_service.Subject
 
 let f2_fleet () =
   section "F2"
-    "Fleet identification: domain-parallel sessions over one shared sharded \
-     cache (new)";
+    "Fleet identification: domain-parallel sessions over one shared cache \
+     (new)";
   let module Jsonx = Prognosis_obs.Jsonx in
   let subj name =
     match Subject.of_name name with
@@ -1229,7 +1233,7 @@ let f2_fleet () =
       Subject.name = "tcp(lossy)";
       factory =
         (fun ~seed ~workers ->
-          Subject.seeded_factory
+          Prognosis_exec.Engine.seeded_factory
             (fun wseed ->
               Prognosis_sul.Sul.strings
                 ~symbols:Prognosis_tcp.Tcp_alphabet.all

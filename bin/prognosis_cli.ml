@@ -72,9 +72,9 @@ let algo_name = function Learn.Ttt_tree -> "ttt" | Learn.L_star -> "lstar"
 let algo_of_name = function "lstar" -> Learn.L_star | _ -> Learn.Ttt_tree
 
 let exec_of_flags ~workers ~batch ~parallel ~replicas =
-  (* Any exec-related flag routes membership queries through the
-     query-execution engine; plain invocations keep the historical
-     sequential path. *)
+  (* Any exec-related flag widens the query-execution engine; plain
+     invocations run it sequentially, its one worker the study's
+     recording adapter. *)
   if workers > 1 || batch || parallel || replicas > 1 then
     Some
       {
@@ -1516,7 +1516,7 @@ let identify_cmd =
 
 (* --- serve: domain-parallel fleet sessions --- *)
 
-let do_serve () jobs_file domains shards workers parallel replicas library_dir
+let do_serve () jobs_file domains workers parallel replicas library_dir
     metrics_out =
   Prognosis_obs.Metrics.reset Prognosis_obs.Metrics.default;
   let jobs = or_die (Result.bind (read_file jobs_file) Service.jobs_of_string) in
@@ -1527,7 +1527,7 @@ let do_serve () jobs_file domains shards workers parallel replicas library_dir
     { Service.default_config with Prognosis_exec.Engine.workers; parallel; replicas }
   in
   let summary =
-    match Service.run ~domains ~shards ~config ?library ~jobs () with
+    match Service.run ~domains ~config ?library ~jobs () with
     | Ok s -> s
     | Error e -> or_die (Error e)
     | exception Prognosis_sul.Nondet.Nondeterministic_sul msg ->
@@ -1574,9 +1574,9 @@ let serve_cmd =
   let doc =
     "Run a fleet of learning and identification sessions on an OCaml domain \
      pool: every session owns its own query-execution engine, sessions \
-     probing the same endpoint configuration share one sharded membership \
-     cache, and identify sessions walk one resident classification tree. \
-     Results merge deterministically in job order."
+     probing the same endpoint configuration build it over one shared \
+     membership cache, and identify sessions walk one resident \
+     classification tree. Results merge deterministically in job order."
   in
   let jobs_arg =
     let doc =
@@ -1594,10 +1594,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
-  let shards_arg =
-    let doc = "Shard count of each shared membership cache." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"K" ~doc)
-  in
   let library_arg =
     let doc =
       "Model library directory, required when any job identifies (see \
@@ -1608,8 +1604,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const do_serve $ verbose $ jobs_arg $ domains_arg $ shards_arg
-      $ workers_arg $ parallel_arg $ replicas_arg $ library_arg $ metrics_out)
+      const do_serve $ verbose $ jobs_arg $ domains_arg $ workers_arg
+      $ parallel_arg $ replicas_arg $ library_arg $ metrics_out)
 
 let main =
   let doc = "closed-box learning and analysis of protocol implementations" in

@@ -20,6 +20,16 @@ type result = {
   client : Prognosis_dtls.Dtls_client.t;
 }
 
+val eq_oracle :
+  (Alphabet.symbol -> 'i) ->
+  seed:int64 ->
+  ('i, 'o) Prognosis_learner.Oracle.equivalence
+(** The study's equivalence oracle at the caller's symbol type:
+    [eq_oracle symbol ~seed] maps any scenario words it tests through
+    [symbol] ([Fun.id] for the typed study, the alphabet's
+    [to_string] for a string-level fleet session). Build one per
+    learn: its random sweep draws from an RNG seeded by [seed]. *)
+
 val learn :
   ?seed:int64 ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
@@ -28,7 +38,10 @@ val learn :
   ?checkpoint:Prognosis_learner.Checkpoint.spec ->
   unit ->
   result
-(** With [?exec], membership queries run through the query-execution
+(** Learns through {!eq_oracle} on {!Prognosis_exec.Engine.learn}.
+    Without [?exec] the engine is sequential and its one worker is
+    the returned [adapter], which records the Oracle Table. With
+    [?exec], membership queries run through the query-execution
     engine pool and the report carries an [exec] stats section. With
     [?checkpoint], the run snapshots and resumes per the spec; may
     raise {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)

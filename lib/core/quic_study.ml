@@ -5,6 +5,7 @@ module Oracle_table = Prognosis_sul.Oracle_table
 module Nondet = Prognosis_sul.Nondet
 module Sul = Prognosis_sul.Sul
 module Learn = Prognosis_learner.Learn
+module Engine = Prognosis_exec.Engine
 module Eq_oracle = Prognosis_learner.Eq_oracle
 module Checkpoint = Prognosis_learner.Checkpoint
 module Ext_mealy = Prognosis_synthesis.Ext_mealy
@@ -27,6 +28,15 @@ type result = {
 
 let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
 
+(* As TCP's, with a shorter random sweep; [_symbol] goes unused. *)
+let eq_oracle _symbol ~seed =
+  let rng = Rng.create (Int64.add seed 7L) in
+  Eq_oracle.combine
+    [
+      Eq_oracle.w_method ~extra_states:1 ();
+      Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
+    ]
+
 let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
     ?client_config ?exec ?checkpoint ~profile () =
   let module Metrics = Prognosis_obs.Metrics in
@@ -34,58 +44,25 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
     (Metrics.counter_l Metrics.default "study.learn_runs"
        [ ("study", "quic"); ("profile", profile.Profile.name) ]);
   let adapter, client = Quic_adapter.create ~profile ?client_config ~seed () in
-  let rng = Rng.create (Int64.add seed 7L) in
-  let eq =
-    Eq_oracle.combine
-      [
-        Eq_oracle.w_method ~extra_states:1 ();
-        Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
-      ]
-  in
-  let ck =
-    Option.map
-      (Checkpoint.start ~kind:("quic-" ^ profile.Profile.name))
-      checkpoint
-  in
-  let result, exec_json =
-    match exec with
-    | None ->
-        let sul = Adapter.to_sul adapter in
-        (Learn.run ~algorithm ?checkpoint:ck ~inputs:alphabet ~sul ~eq (), None)
-    | Some config ->
-        let module Engine = Prognosis_exec.Engine in
-        let master = Rng.create seed in
-        let wseeds =
-          Array.map Rng.next64 (Rng.split_n master config.Engine.workers)
-        in
-        let factory i =
-          Quic_adapter.sul ~profile ?client_config ~seed:wseeds.(i) ()
-        in
-        let engine =
-          Engine.create ~config ?cache:(Option.map Checkpoint.cache ck) ~factory ()
-        in
-        Option.iter
-          (fun ck ->
-            (match Checkpoint.exec_blob ck with
-            | Some blob -> ( try Engine.thaw engine blob with Invalid_argument _ -> ())
-            | None -> ());
-            Checkpoint.set_exec_state ck (fun () -> Engine.freeze engine))
-          ck;
-        let r =
-          Learn.run_mq ~algorithm ?checkpoint:ck
-            ~cache_stats:(fun () -> Engine.cache_stats engine)
-            ~inputs:alphabet
-            ~mq:(Engine.membership engine)
-            ~eq ()
-        in
-        (r, Some (Engine.stats_json engine))
+  let kind = "quic-" ^ profile.Profile.name in
+  let result, engine =
+    Engine.learn ?config:exec ~algorithm
+      ?checkpoint:(Option.map (Checkpoint.start ~kind) checkpoint)
+      ~recorded:(Adapter.to_sul adapter)
+      ~factory:
+        (Engine.seeded_factory
+           (fun seed -> Quic_adapter.sul ~profile ?client_config ~seed ())
+           ~seed)
+      ~inputs:alphabet ~eq:(eq_oracle Fun.id ~seed) ()
   in
   {
     model = result.Learn.model;
     report =
       Report.of_learn_result
         ~subject:("quic:" ^ profile.Profile.name)
-        ~algorithm:(algorithm_name algorithm) ?exec:exec_json result;
+        ~algorithm:(algorithm_name algorithm)
+        ?exec:(Option.map (fun _ -> Engine.stats_json engine) exec)
+        result;
     adapter;
     client;
   }

@@ -3,6 +3,7 @@ module Rng = Prognosis_sul.Rng
 module Adapter = Prognosis_sul.Adapter
 module Oracle_table = Prognosis_sul.Oracle_table
 module Learn = Prognosis_learner.Learn
+module Engine = Prognosis_exec.Engine
 module Eq_oracle = Prognosis_learner.Eq_oracle
 module Checkpoint = Prognosis_learner.Checkpoint
 module Ext_mealy = Prognosis_synthesis.Ext_mealy
@@ -21,7 +22,10 @@ type result = {
 
 let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
 
-let eq_oracle ~seed =
+(* W-method with one extra state plus a seeded random-word sweep; the
+   suite never names a symbol, so [_symbol] (the map into the caller's
+   symbol type) goes unused. *)
+let eq_oracle _symbol ~seed =
   let rng = Rng.create (Int64.add seed 7L) in
   Eq_oracle.combine
     [
@@ -29,59 +33,32 @@ let eq_oracle ~seed =
       Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1 ~max_len:12;
     ]
 
-let ckpt_kind = "tcp"
-
 let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
     ?checkpoint () =
   let module Metrics = Prognosis_obs.Metrics in
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs" [ ("study", "tcp") ]);
   (* The adapter kept in the result records the Oracle Table for
-     synthesis; with an engine the pool workers are separate instances
-     and witness queries replay through this one. *)
+     synthesis: it is the sequential default's one worker. With an
+     engine config the pool workers are separate instances and
+     witness queries replay through this one. *)
   let adapter = Tcp_adapter.create ?server_config ~seed () in
-  let eq = eq_oracle ~seed in
-  let ck = Option.map (Checkpoint.start ~kind:ckpt_kind) checkpoint in
-  let result, exec_json =
-    match exec with
-    | None ->
-        let sul = Adapter.to_sul adapter in
-        (Learn.run ~algorithm ?checkpoint:ck ~inputs:Alphabet.all ~sul ~eq (), None)
-    | Some config ->
-        let module Engine = Prognosis_exec.Engine in
-        let master = Rng.create seed in
-        let wseeds =
-          Array.map Rng.next64
-            (Rng.split_n master config.Engine.workers)
-        in
-        let factory i = Tcp_adapter.sul ?server_config ~seed:wseeds.(i) () in
-        let engine =
-          Engine.create ~config ?cache:(Option.map Checkpoint.cache ck) ~factory ()
-        in
-        Option.iter
-          (fun ck ->
-            (* A thaw failure only loses advisory robustness bookkeeping
-               (a resumed run with a resized pool starts its strike
-               counters fresh); the query cache is what matters. *)
-            (match Checkpoint.exec_blob ck with
-            | Some blob -> ( try Engine.thaw engine blob with Invalid_argument _ -> ())
-            | None -> ());
-            Checkpoint.set_exec_state ck (fun () -> Engine.freeze engine))
-          ck;
-        let r =
-          Learn.run_mq ~algorithm ?checkpoint:ck
-            ~cache_stats:(fun () -> Engine.cache_stats engine)
-            ~inputs:Alphabet.all
-            ~mq:(Engine.membership engine)
-            ~eq ()
-        in
-        (r, Some (Engine.stats_json engine))
+  let result, engine =
+    Engine.learn ?config:exec ~algorithm
+      ?checkpoint:(Option.map (Checkpoint.start ~kind:"tcp") checkpoint)
+      ~recorded:(Adapter.to_sul adapter)
+      ~factory:
+        (Engine.seeded_factory
+           (fun seed -> Tcp_adapter.sul ?server_config ~seed ())
+           ~seed)
+      ~inputs:Alphabet.all ~eq:(eq_oracle Fun.id ~seed) ()
   in
   {
     model = result.Learn.model;
     report =
       Report.of_learn_result ~subject:"tcp" ~algorithm:(algorithm_name algorithm)
-        ?exec:exec_json result;
+        ?exec:(Option.map (fun _ -> Engine.stats_json engine) exec)
+        result;
     adapter;
   }
 

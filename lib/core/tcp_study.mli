@@ -18,6 +18,16 @@ type result = {
     Prognosis_sul.Adapter.t;
 }
 
+val eq_oracle :
+  (Alphabet.symbol -> 'i) ->
+  seed:int64 ->
+  ('i, 'o) Prognosis_learner.Oracle.equivalence
+(** The study's equivalence oracle at the caller's symbol type:
+    [eq_oracle symbol ~seed] maps any scenario words it tests through
+    [symbol] ([Fun.id] for the typed study, the alphabet's
+    [to_string] for a string-level fleet session). Build one per
+    learn: its random sweep draws from an RNG seeded by [seed]. *)
+
 val learn :
   ?seed:int64 ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
@@ -26,7 +36,10 @@ val learn :
   ?checkpoint:Prognosis_learner.Checkpoint.spec ->
   unit ->
   result
-(** Learns through a W-method + random-word equivalence oracle. With
+(** Learns through {!eq_oracle} (W-method + random words) on
+    {!Prognosis_exec.Engine.learn}. Without [?exec] the engine is
+    sequential and its one worker is the returned [adapter], which
+    records the Oracle Table. With
     [?exec], membership queries run through the query-execution engine
     ({!Prognosis_exec.Engine}): a pool of [exec.workers] independent
     adapters (seeds derived by {!Prognosis_sul.Rng.split_n}), batched

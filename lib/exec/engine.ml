@@ -2,6 +2,9 @@ module Sul = Prognosis_sul.Sul
 module Nondet = Prognosis_sul.Nondet
 module Cache = Prognosis_learner.Cache
 module Oracle = Prognosis_learner.Oracle
+module Learn = Prognosis_learner.Learn
+module Checkpoint = Prognosis_learner.Checkpoint
+module Rng = Prognosis_sul.Rng
 module Metrics = Prognosis_obs.Metrics
 module Trace = Prognosis_obs.Trace
 module Jsonx = Prognosis_obs.Jsonx
@@ -25,13 +28,17 @@ let default =
     cooldown = 256;
   }
 
+let sequential = { default with batch = false }
+
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
   mutable position : 'i list option;
       (* word replayed since the last reset; [None] = state unknown,
-         the next run must reset. Invariant: a set position is always a
-         cache-inserted word, so its per-step outputs are recoverable. *)
+         the next run must reset. A resume takes the position's
+         per-step outputs from the cache, which the caching view fills
+         as soon as the engine answers; a position the cache cannot
+         answer falls back to a full run. *)
   mutable runs_done : int;
   mutable resets_done : int;
   mutable steps_done : int;
@@ -74,6 +81,11 @@ let fresh_stats () =
 
 type ('i, 'o) t = {
   config : config;
+  resume : bool;
+      (* mid-word resume; off on the sequential oracle (one worker, no
+         batching), which replays every miss from reset exactly like
+         [Oracle.of_sul]: its worker may be a study's recording
+         adapter, whose Oracle Table delimits queries by resets *)
   workers : ('i, 'o) worker array;
   cache : ('i, 'o) Cache.t;
   stats : stats;
@@ -146,6 +158,7 @@ let create ?(config = default) ?(labels = []) ?cache ~factory () =
   in
   {
     config;
+    resume = config.batch || config.workers > 1;
     workers;
     cache = (match cache with Some c -> c | None -> Cache.create ());
     stats = fresh_stats ();
@@ -225,13 +238,22 @@ type acct = {
 
 let fresh_acct () = { a_runs = 0; a_resumed = 0; a_resets = 0; a_steps = 0 }
 
-let step_word acct worker word =
-  List.map
-    (fun x ->
+let rec step_word acct worker = function
+  | [] -> []
+  | x :: rest ->
       acct.a_steps <- acct.a_steps + 1;
       worker.steps_done <- worker.steps_done + 1;
-      worker.sul.Sul.step x)
-    word
+      let o = worker.sul.Sul.step x in
+      o :: step_word acct worker rest
+
+let full_run acct worker word =
+  worker.position <- None;
+  worker.sul.Sul.reset ();
+  acct.a_resets <- acct.a_resets + 1;
+  worker.resets_done <- worker.resets_done + 1;
+  let outs = step_word acct worker word in
+  worker.position <- Some word;
+  outs
 
 (* Execute [word] on [worker]. With [resume] on, a worker standing at
    the end of a cached strict prefix of [word] skips the reset and
@@ -241,15 +263,6 @@ let step_word acct worker word =
 let run_word ~resume cache acct worker word =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
-  let full () =
-    worker.position <- None;
-    worker.sul.Sul.reset ();
-    acct.a_resets <- acct.a_resets + 1;
-    worker.resets_done <- worker.resets_done + 1;
-    let outs = step_word acct worker word in
-    worker.position <- Some word;
-    outs
-  in
   match worker.position with
   | Some pos
     when resume && pos <> []
@@ -262,8 +275,8 @@ let run_word ~resume cache acct worker word =
           let souts = step_word acct worker (drop (List.length pos) word) in
           worker.position <- Some word;
           pos_outs @ souts
-      | None -> full ())
-  | _ -> full ()
+      | None -> full_run acct worker word)
+  | _ -> full_run acct worker word
 
 let flush t acct =
   let s = t.stats in
@@ -281,13 +294,12 @@ let flush t acct =
     Array.fold_left (fun m w -> min m w.runs_done) max_int t.workers
   in
   if mx > 0 then Metrics.set g_utilization (float_of_int mn /. float_of_int mx);
-  Array.iteri
-    (fun i w ->
-      let g_runs, g_resets, g_steps = t.worker_gauges.(i) in
-      Metrics.set g_runs (float_of_int w.runs_done);
-      Metrics.set g_resets (float_of_int w.resets_done);
-      Metrics.set g_steps (float_of_int w.steps_done))
-    t.workers
+  for i = 0 to Array.length t.workers - 1 do
+    let w = t.workers.(i) and g_runs, g_resets, g_steps = t.worker_gauges.(i) in
+    Metrics.set g_runs (float_of_int w.runs_done);
+    Metrics.set g_resets (float_of_int w.resets_done);
+    Metrics.set g_steps (float_of_int w.steps_done)
+  done
 
 (* The engine's savings are reported against the no-reuse sequential
    oracle: every query the learner (or equivalence suite) asks costs
@@ -307,26 +319,32 @@ let sync_saved t =
 
 (* Longest usable resume position wins; ties go to the least-used
    worker so utilization stays balanced. *)
+let resume_score t word w =
+  match w.position with
+  | Some p
+    when p <> []
+         && List.length p < List.length word
+         && Plan.is_prefix p word
+         && Cache.lookup t.cache p <> None ->
+      List.length p
+  | _ -> -1
+
+(* A scan of the pool that allocates nothing: it runs once per
+   executed word. *)
+let rec pick t word i best sb =
+  if i = Array.length t.workers then best
+  else
+    let w = t.workers.(i) in
+    if w.quarantined_until > t.clock then pick t word (i + 1) best sb
+    else
+      let sw = resume_score t word w in
+      if sw > sb || (sw = sb && w.runs_done < best.runs_done) then
+        pick t word (i + 1) w sw
+      else pick t word (i + 1) best sb
+
 let pick_worker t word =
-  let score w =
-    match w.position with
-    | Some p
-      when p <> []
-           && List.length p < List.length word
-           && Plan.is_prefix p word
-           && Cache.lookup t.cache p <> None ->
-        List.length p
-    | _ -> -1
-  in
-  match active_workers t with
-  | [] -> assert false
-  | first :: rest ->
-      List.fold_left
-        (fun best w ->
-          let sw = score w and sb = score best in
-          if sw > sb || (sw = sb && w.runs_done < best.runs_done) then w
-          else best)
-        first rest
+  if Array.length t.workers = 1 then t.workers.(0)
+  else pick t word 0 t.workers.(0) min_int
 
 let pick_replicas t n =
   let a = Array.of_list (active_workers t) in
@@ -423,37 +441,36 @@ let vote t acct word =
                  answers over %d runs)"
                 (List.length word) (List.length obs) total))
 
+(* The engine answers; the caching view above it ({!membership})
+   inserts each answered word into the cache, once. *)
 let exec_word t word =
   let acct = fresh_acct () in
   let outs =
     if t.config.replicas > 1 then vote t acct word
-    else run_word ~resume:true t.cache acct (pick_worker t word) word
+    else run_word ~resume:t.resume t.cache acct (pick_worker t word) word
   in
-  Cache.insert t.cache word outs;
   flush t acct;
   outs
 
-(* One domain per worker; slices only read the cache (resume lookups
-   against material from earlier batches) and write their own worker
-   record and a local acct, so the parallel phase is race-free. Cache
-   inserts, stats and metrics all happen after the join, on the main
-   domain. Runs within a batch are pairwise non-prefix (maximality),
-   so no slice ever needs an output produced by the current batch. *)
-let parallel_exec t acct runs =
+(* One domain per worker, worker [k] taking runs k, k+n, k+2n, ...;
+   slices only read the cache (resume lookups against material from
+   earlier batches) and write their own worker record, their own
+   [outs] slots and a local acct, so the parallel phase is race-free.
+   Stats and metrics are merged after the join, on the main domain.
+   Runs within a batch are pairwise non-prefix (maximality), so no
+   slice ever needs an output produced by the current batch. *)
+let parallel_exec t acct runs outs =
   let actives = Array.of_list (active_workers t) in
   let n = Array.length actives in
-  let slices = Array.make n [] in
-  List.iteri (fun i w -> slices.(i mod n) <- w :: slices.(i mod n)) runs;
-  let slices = Array.map List.rev slices in
   let exec_slice k () =
     let local = fresh_acct () in
     let worker = actives.(k) in
-    let results =
-      List.map
-        (fun word -> (word, run_word ~resume:true t.cache local worker word))
-        slices.(k)
-    in
-    (results, local)
+    let i = ref k in
+    while !i < Array.length runs do
+      outs.(!i) <- run_word ~resume:t.resume t.cache local worker runs.(!i);
+      i := !i + n
+    done;
+    local
   in
   let domains =
     Array.init (n - 1) (fun k -> Domain.spawn (exec_slice (k + 1)))
@@ -467,13 +484,27 @@ let parallel_exec t acct runs =
   Array.iter
     (function
       | Error _ -> ()
-      | Ok (results, local) ->
+      | Ok local ->
           acct.a_runs <- acct.a_runs + local.a_runs;
           acct.a_resumed <- acct.a_resumed + local.a_resumed;
           acct.a_resets <- acct.a_resets + local.a_resets;
-          acct.a_steps <- acct.a_steps + local.a_steps;
-          List.iter (fun (w, outs) -> Cache.insert t.cache w outs) results)
+          acct.a_steps <- acct.a_steps + local.a_steps)
     all
+
+let rec take n l =
+  match l with x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
+
+(* [Plan.build] sorts its runs, and every planned word is a prefix of
+   the first run sorting at or after it; binary search finds that
+   run, whose outputs answer the word. *)
+let answer_of runs outs word =
+  let rec first lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare runs.(mid) word < 0 then first (mid + 1) hi else first lo mid
+  in
+  take (List.length word) outs.(first 0 (Array.length runs))
 
 let exec_batch t words =
   let plan = Plan.build words in
@@ -491,34 +522,32 @@ let exec_batch t words =
     s.prefix_answers <- s.prefix_answers + plan.Plan.subsumed;
     Metrics.inc ~by:plan.Plan.subsumed m_prefix_answers
   end;
+  let runs = Array.of_list plan.Plan.runs in
+  let outs = Array.make (Array.length runs) [] in
   let acct = fresh_acct () in
   let execute () =
     if t.config.replicas > 1 then
-      List.iter
-        (fun w ->
-          let outs = vote t acct w in
-          Cache.insert t.cache w outs)
-        plan.Plan.runs
+      Array.iteri (fun i w -> outs.(i) <- vote t acct w) runs
     else if
       t.config.parallel
       && List.length (active_workers t) > 1
-      && List.length plan.Plan.runs > 1
+      && Array.length runs > 1
       && not (Trace.enabled ())
       (* the trace sink is not safe to share across domains *)
-    then parallel_exec t acct plan.Plan.runs
+    then parallel_exec t acct runs outs
     else
-      List.iter
-        (fun w ->
+      Array.iteri
+        (fun i w ->
           let run () =
-            let outs = run_word ~resume:true t.cache acct (pick_worker t w) w in
-            Cache.insert t.cache w outs
+            outs.(i) <-
+              run_word ~resume:t.resume t.cache acct (pick_worker t w) w
           in
           if Trace.enabled () then
             Trace.with_span
               ~attrs:[ ("len", Jsonx.Int (List.length w)) ]
               "oracle.mq" run
           else run ())
-        plan.Plan.runs
+        runs
   in
   if Trace.enabled () then
     Trace.with_span
@@ -530,12 +559,7 @@ let exec_batch t words =
       "exec.batch" execute
   else execute ();
   flush t acct;
-  List.map
-    (fun w ->
-      match Cache.lookup t.cache w with
-      | Some a -> a
-      | None -> assert false (* every planned word is covered by a run *))
-    words
+  List.map (answer_of runs outs) words
 
 let membership t =
   let cached =
@@ -566,7 +590,11 @@ let membership t =
 let config t = t.config
 let stats t = t.stats
 let oracle_stats t = t.oracle_stats
-let cache_stats t = (Cache.hits t.cache, Cache.misses t.cache)
+(* Per engine, also over a shared cache: the misses are the words that
+   reached this pool, the hits every other word this engine was asked. *)
+let cache_stats t =
+  let misses = t.oracle_stats.Oracle.membership_queries in
+  (t.stats.baseline_resets - misses, misses)
 let worker_runs t = Array.map (fun w -> w.runs_done) t.workers
 let saved_resets t = t.stats.baseline_resets - t.stats.resets
 let saved_steps t = t.stats.baseline_steps - t.stats.steps
@@ -610,3 +638,36 @@ let stats_json t =
       ( "quarantined_workers",
         Jsonx.List (List.map (fun id -> Jsonx.Int id) (quarantined t)) );
     ]
+
+let seeded_factory make ~seed ~workers =
+  let wseeds = Array.map Rng.next64 (Rng.split_n (Rng.create seed) workers) in
+  fun i -> make wseeds.(i)
+
+let learn ?config ?labels ?cache ?checkpoint ?algorithm ?recorded ~factory
+    ~inputs ~eq () =
+  let config, factory =
+    match (config, recorded) with
+    | Some (c : config), _ -> (c, factory ~workers:c.workers)
+    | None, Some sul -> (sequential, fun _ -> sul)
+    | None, None -> (sequential, factory ~workers:1)
+  in
+  let cache =
+    match checkpoint with Some ck -> Some (Checkpoint.cache ck) | None -> cache
+  in
+  let engine = create ~config ?labels ?cache ~factory () in
+  Option.iter
+    (fun ck ->
+      (* A thaw failure only loses advisory robustness bookkeeping (a
+         resumed run with a resized pool starts its strike counters
+         fresh); the query cache is what matters. *)
+      (match Checkpoint.exec_blob ck with
+      | Some blob -> ( try thaw engine blob with Invalid_argument _ -> ())
+      | None -> ());
+      Checkpoint.set_exec_state ck (fun () -> freeze engine))
+    checkpoint;
+  let r =
+    Learn.run_mq ?algorithm ?checkpoint
+      ~cache_stats:(fun () -> cache_stats engine)
+      ~inputs ~mq:(membership engine) ~eq ()
+  in
+  (r, engine)

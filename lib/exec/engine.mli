@@ -30,11 +30,18 @@
     The engine fronts everything with the standard
     {!Prognosis_learner.Cache}, so {!membership} is a drop-in
     [Oracle.membership] for {!Prognosis_learner.Learn.run_mq}: cache
-    misses are exactly the words that reach the pool. *)
+    misses are exactly the words that reach the pool. The cache is a
+    value: private to the engine by default, or shared with the
+    engines of other sessions probing the same endpoint. {!learn} is
+    the one learning entry point the case studies, subjects and fleet
+    sessions share. *)
 
 type config = {
   workers : int;  (** pool size (>= 1) *)
-  batch : bool;  (** advertise [ask_batch] to suite-driven oracles *)
+  batch : bool;
+      (** advertise [ask_batch] to suite-driven oracles. One worker
+          without batching is the sequential oracle: every miss runs
+          from reset, with no mid-word resume *)
   parallel : bool;
       (** execute batch runs across domains; forced off while a trace
           sink is installed (the sink is not domain-safe) and ignored
@@ -48,6 +55,11 @@ type config = {
 val default : config
 (** [{ workers = 1; batch = true; parallel = false; replicas = 1;
       max_strikes = 2; cooldown = 256 }] *)
+
+val sequential : config
+(** {!default} with [batch = false]: the sequential oracle. It asks
+    the SUL exactly the queries [Learn.run]'s direct path asks, each
+    from reset. *)
 
 type ('i, 'o) t
 
@@ -68,7 +80,8 @@ val create :
     [?cache] substitutes an external query cache for the engine's
     fresh one — a checkpoint session's pre-warmed cache
     ({!Prognosis_learner.Checkpoint.cache}) turns a resumed run's
-    pre-crash queries into hits that never reach the pool.
+    pre-crash queries into hits that never reach the pool, and a
+    fleet's per-endpoint cache is shared by every session's engine.
     @raise Invalid_argument on a non-positive worker count or
     [replicas] outside [1, workers]. *)
 
@@ -117,7 +130,10 @@ val oracle_stats : ('i, 'o) t -> Prognosis_learner.Oracle.stats
 val config : ('i, 'o) t -> config
 
 val cache_stats : ('i, 'o) t -> int * int
-(** (hits, misses) of the engine's cache — pass to
+(** (hits, misses) of this engine's {!membership}: misses are the
+    words that reached the pool, hits the other words it was asked.
+    Exact per engine even over a shared cache, whose own tallies are
+    the sums over its engines. Pass to
     {!Prognosis_learner.Learn.run_mq}'s [cache_stats]. *)
 
 val worker_runs : ('i, 'o) t -> int array
@@ -137,3 +153,33 @@ val stats_json : ('i, 'o) t -> Prognosis_obs.Jsonx.t
 (** Schema-versioned ["prognosis.exec/1"] object for
     {!Report.to_json}'s [exec] section and the bench snapshot. *)
 
+
+val seeded_factory :
+  (int64 -> 'a) -> seed:int64 -> workers:int -> int -> 'a
+(** [seeded_factory make ~seed ~workers] splits [seed] into [workers]
+    independent {!Prognosis_sul.Rng} streams and builds worker [i]
+    with [make seed_i]. *)
+
+val learn :
+  ?config:config ->
+  ?labels:(string * string) list ->
+  ?cache:('i, 'o) Prognosis_learner.Cache.t ->
+  ?checkpoint:('i, 'o) Prognosis_learner.Checkpoint.session ->
+  ?algorithm:Prognosis_learner.Learn.algorithm ->
+  ?recorded:('i, 'o) Prognosis_sul.Sul.t ->
+  factory:(workers:int -> int -> ('i, 'o) Prognosis_sul.Sul.t) ->
+  inputs:'i array ->
+  eq:('i, 'o) Prognosis_learner.Oracle.equivalence ->
+  unit ->
+  ('i, 'o) Prognosis_learner.Learn.result * ('i, 'o) t
+(** The learning entry point: builds the engine over
+    [factory ~workers:config.workers] and runs
+    {!Prognosis_learner.Learn.run_mq} on its {!membership}, with the
+    engine's {!cache_stats}. Without [config] the engine is
+    {!sequential}, and its one worker is [recorded] when given (a case
+    study's Oracle-Table-recording adapter), else [factory ~workers:1
+    0]. With [checkpoint], the session's cache replaces [cache], a
+    snapshot's engine state is thawed into the pool (a blob that does
+    not fit is ignored: only advisory robustness bookkeeping is lost)
+    and every later snapshot carries {!freeze}. Returns the engine for
+    its stats. *)

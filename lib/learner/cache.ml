@@ -9,11 +9,15 @@ module Metrics = Prognosis_obs.Metrics
    for cheap insertion; [dump] re-sorts siblings by the symbols
    themselves so the checkpoint order is canonical.
 
-   [lookup] and [lookup_longest_prefix] never mutate the structure
-   (unknown symbols are a miss, not an interning event), so concurrent
-   read-only probes from the exec pool's worker domains are safe while
-   inserts stay on the main domain — the same discipline the engine
-   already follows. *)
+   One trie is shared by every session probing an endpoint, across
+   domains. Inserts take the mutex; lookups run lock-free and
+   optimistic. [lookup] and [lookup_longest_prefix] never mutate the
+   structure (unknown symbols are a miss, not an interning event), and
+   inserts are publication-safe (see [split]), so a racing reader sees
+   a stale-but-consistent trie at worst. A seqlock-style generation
+   counter (odd while an insert is in flight) rejects even that: a
+   lookup that overlapped a write discards its answer and retries
+   under the mutex. *)
 
 type node = {
   path : int array; (* compressed edge into this subtree; immutable
@@ -32,8 +36,10 @@ type ('i, 'o) t = {
   root : node;
   mutable prefixes : int; (* distinct cached non-empty prefixes *)
   mutable phys : int; (* physical (compacted) nodes, root included *)
-  mutable hits : int;
-  mutable misses : int;
+  lock : Mutex.t; (* taken by inserts only *)
+  gen : int Atomic.t; (* odd while an insert is in flight *)
+  hits : int Atomic.t;
+  misses : int Atomic.t;
 }
 
 let create () =
@@ -47,8 +53,10 @@ let create () =
     root = { path = [||]; pouts = [||]; kids = [] };
     prefixes = 0;
     phys = 1;
-    hits = 0;
-    misses = 0;
+    lock = Mutex.create ();
+    gen = Atomic.make 0;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
   }
 
 let intern_sym t x =
@@ -103,7 +111,7 @@ let insert_sorted kid kids =
   go kids
 
 (* Split [kid]'s edge after its first [j] symbols. Mutation is
-   publication-safe for lock-free concurrent readers ({!Sharded}): a
+   publication-safe for lock-free concurrent readers: a
    reachable node's [path]/[pouts] arrays are never shrunk or
    overwritten in place. Instead a fresh head node (carrying the first
    [j] symbols, with a fresh tail inheriting the rest) replaces [kid]
@@ -130,7 +138,7 @@ let split t parent kid j =
   t.phys <- t.phys + 1;
   head
 
-let insert t word outputs =
+let insert_unlocked t word outputs =
   if List.length word <> List.length outputs then
     invalid_arg "Cache.insert: word/outputs length mismatch";
   let fresh_leaf word outs =
@@ -168,9 +176,42 @@ let insert t word outputs =
   in
   at_node t.root word outputs
 
+let insert t word outputs =
+  Mutex.lock t.lock;
+  Atomic.incr t.gen;
+  match insert_unlocked t word outputs with
+  | () ->
+      Atomic.incr t.gen;
+      Mutex.unlock t.lock
+  | exception e ->
+      Atomic.incr t.gen;
+      Mutex.unlock t.lock;
+      raise e
+
+let read_locked t f x =
+  Mutex.lock t.lock;
+  match f t x with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+
+(* Optimistic read of [f t x]: any overlap with a writer (generation
+   odd at the start, or moved by the end, or a torn read raising)
+   voids the attempt, which is then repeated under the mutex. *)
+let read t f x =
+  let g = Atomic.get t.gen in
+  if g land 1 = 1 then read_locked t f x
+  else
+    match f t x with
+    | v -> if Atomic.get t.gen = g then v else read_locked t f x
+    | exception _ -> read_locked t f x
+
 let sym_id_opt t x = Hashtbl.find_opt t.sym_ids x
 
-let lookup t word =
+let lookup_unlocked t word =
   let rec at_node node word acc =
     match word with
     | [] -> Some (List.rev acc)
@@ -194,7 +235,9 @@ let lookup t word =
   in
   at_node t.root word []
 
-let lookup_longest_prefix t word =
+let lookup t word = read t lookup_unlocked word
+
+let lookup_longest_prefix_unlocked t word =
   let stop acc_in acc_out =
     match acc_in with
     | [] -> None
@@ -224,10 +267,12 @@ let lookup_longest_prefix t word =
   in
   at_node t.root word [] []
 
+let lookup_longest_prefix t word = read t lookup_longest_prefix_unlocked word
+
 let size t = t.prefixes + 1
 let compacted_nodes t = t.phys
-let hits t = t.hits
-let misses t = t.misses
+let hits t = Atomic.get t.hits
+let misses t = Atomic.get t.misses
 
 (* Maximal cached words: the trie's leaves. Every inserted word is a
    prefix of some leaf word (insert fills outputs along the whole
@@ -241,7 +286,7 @@ let misses t = t.misses
    function of the cached word set alone, and dump/restore round-trips
    byte-identically even for dumps written by the pre-compaction
    implementation in hash-table order. *)
-let dump t =
+let dump_unlocked t () =
   let acc = ref [] in
   let rec go node rev_in rev_out =
     match node.kids with
@@ -264,6 +309,8 @@ let dump t =
   in
   go t.root [] [];
   List.rev !acc
+
+let dump t = read t dump_unlocked ()
 
 let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
 
@@ -295,7 +342,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
      to resume a worker mid-word, and the fresh/cached comparison
      preserves the nondeterminism detection [insert] would perform. *)
   let miss word =
-    t.misses <- t.misses + 1;
+    Atomic.incr t.misses;
     Metrics.inc m_misses;
     let answer =
       match lookup_longest_prefix t word with
@@ -304,9 +351,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
           let k = List.length prefix in
           let fresh = mq.ask word in
           let fresh_prefix, fresh_suffix = split_at k fresh in
-          if fresh_prefix <> cached_outs then
-            invalid_arg
-              "Cache.insert: conflicting outputs (nondeterministic SUL?)";
+          if fresh_prefix <> cached_outs then conflict ();
           Metrics.inc m_prefix_hits;
           Metrics.inc ~by:k m_prefix_symbols;
           cached_outs @ fresh_suffix
@@ -318,7 +363,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
   let ask word =
     match lookup t word with
     | Some answer ->
-        t.hits <- t.hits + 1;
+        Atomic.incr t.hits;
         Metrics.inc m_hits;
         answer
     | None -> miss word
@@ -335,11 +380,11 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
             (fun word ->
               match lookup t word with
               | Some answer ->
-                  t.hits <- t.hits + 1;
+                  Atomic.incr t.hits;
                   Metrics.inc m_hits;
                   Either.Left answer
               | None ->
-                  t.misses <- t.misses + 1;
+                  Atomic.incr t.misses;
                   Metrics.inc m_misses;
                   Either.Right word)
             words
@@ -369,202 +414,3 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
       mq.Oracle.ask_batch
   in
   { mq with Oracle.ask; ask_batch }
-
-(* --- Sharded facade -------------------------------------------------
-
-   K independent tries, each guarded by a mutex taken only on insert,
-   so fleet sessions on different domains can populate one shared
-   membership cache. Lookups are optimistic and lock-free: each shard
-   carries a seqlock-style generation counter (odd while an insert is
-   in flight), and a lookup that overlaps a write on its shard discards
-   the answer and retries under the shard mutex. Combined with the
-   publication-safe [insert] above (reachable nodes are never mutated
-   into inconsistent states), a racing reader can at worst observe a
-   stale-but-consistent trie — and the generation check rejects even
-   that before the answer escapes.
-
-   Sharding is keyed by the word's first symbol (the root of the
-   interning: per-shard interned ids depend on each shard's insertion
-   history, so the stable equivalent of "hash of the first interned
-   symbols" is a hash of the first symbol's value). Keying on the
-   first symbol alone keeps every prefix of a word in the same shard,
-   which [lookup_longest_prefix] and the canonical [dump] merge rely
-   on. *)
-
-module Sharded = struct
-  type ('i, 'o) shard = {
-    trie : ('i, 'o) t;
-    lock : Mutex.t;
-    gen : int Atomic.t; (* odd while an insert is in flight *)
-    sh_hits : int Atomic.t;
-    sh_misses : int Atomic.t;
-    m_sh_hits : int ref; (* cache.shard.hits{shard=..} *)
-    m_sh_misses : int ref;
-    g_sh_nodes : float ref;
-  }
-
-  type nonrec ('i, 'o) t = { shards : ('i, 'o) shard array }
-
-  let create ?(shards = 8) () =
-    if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
-    let mk i =
-      let l = [ ("shard", string_of_int i) ] in
-      {
-        trie = create ();
-        lock = Mutex.create ();
-        gen = Atomic.make 0;
-        sh_hits = Atomic.make 0;
-        sh_misses = Atomic.make 0;
-        m_sh_hits = Metrics.counter_l Metrics.default "cache.shard.hits" l;
-        m_sh_misses = Metrics.counter_l Metrics.default "cache.shard.misses" l;
-        g_sh_nodes = Metrics.gauge_l Metrics.default "cache.shard.nodes" l;
-      }
-    in
-    { shards = Array.init shards mk }
-
-  let shards t = Array.length t.shards
-
-  let shard_of t word =
-    match word with
-    | [] -> 0
-    | x :: _ -> Hashtbl.hash x land max_int mod Array.length t.shards
-
-  let shard t word = t.shards.(shard_of t word)
-
-  let locked s f =
-    Mutex.lock s.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-  let insert t word outs =
-    let s = shard t word in
-    locked s (fun () ->
-        Atomic.incr s.gen;
-        Fun.protect
-          ~finally:(fun () -> Atomic.incr s.gen)
-          (fun () -> insert s.trie word outs);
-        Metrics.set s.g_sh_nodes (float_of_int (size s.trie)))
-
-  (* Optimistic read: safe to run lock-free thanks to publication-safe
-     inserts, but any overlap with a writer (generation moved, or odd
-     at the start) voids the attempt — fall back to the mutex. *)
-  let read s f =
-    let g = Atomic.get s.gen in
-    if g land 1 = 1 then locked s f
-    else
-      match f () with
-      | v -> if Atomic.get s.gen = g then v else locked s f
-      | exception _ -> locked s f
-
-  let lookup t word =
-    let s = shard t word in
-    read s (fun () -> lookup s.trie word)
-
-  let lookup_longest_prefix t word =
-    let s = shard t word in
-    read s (fun () -> lookup_longest_prefix s.trie word)
-
-  let fold f t init =
-    Array.fold_left (fun acc s -> f acc s) init t.shards
-
-  (* [size] counts the root once across all shards, matching the
-     unsharded accounting (each shard's [size] includes its root). *)
-  let size t = fold (fun acc s -> acc + size s.trie - 1) t 1
-  let compacted_nodes t = fold (fun acc s -> acc + compacted_nodes s.trie - 1) t 1
-  let hits t = fold (fun acc s -> acc + Atomic.get s.sh_hits) t 0
-  let misses t = fold (fun acc s -> acc + Atomic.get s.sh_misses) t 0
-
-  (* The unsharded canonical dump is a symbol-sorted DFS, i.e. the
-     maximal cached words in lexicographic symbol order; shards
-     partition words by first symbol, so sorting the concatenation of
-     the per-shard canonical dumps restores exactly that order —
-     byte-identical to the dump of one trie holding every word. *)
-  let dump t =
-    Array.to_list t.shards
-    |> List.concat_map (fun s -> dump s.trie)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
-
-  let record_hit s =
-    Atomic.incr s.sh_hits;
-    Metrics.inc s.m_sh_hits;
-    Metrics.inc m_hits
-
-  let record_miss s =
-    Atomic.incr s.sh_misses;
-    Metrics.inc s.m_sh_misses;
-    Metrics.inc m_misses
-
-  let wrap t (mq : ('i, 'o) Oracle.membership) =
-    (* Same contract as the unsharded {!wrap}: misses replay the full
-       word on the underlying oracle, a cached prefix stands in for
-       the fresh prefix outputs with the replay cross-checked for
-       nondeterminism. Shared across sessions, so hit/miss tallies go
-       through the shard atomics. *)
-    let miss s word =
-      record_miss s;
-      let answer =
-        match lookup_longest_prefix t word with
-        | None -> mq.Oracle.ask word
-        | Some (prefix, cached_outs) ->
-            let k = List.length prefix in
-            let fresh = mq.Oracle.ask word in
-            let fresh_prefix, fresh_suffix = split_at k fresh in
-            if fresh_prefix <> cached_outs then
-              invalid_arg
-                "Cache.insert: conflicting outputs (nondeterministic SUL?)";
-            Metrics.inc m_prefix_hits;
-            Metrics.inc ~by:k m_prefix_symbols;
-            cached_outs @ fresh_suffix
-      in
-      insert t word answer;
-      answer
-    in
-    let ask word =
-      let s = shard t word in
-      match lookup t word with
-      | Some answer ->
-          record_hit s;
-          answer
-      | None -> miss s word
-    in
-    let ask_batch =
-      Option.map
-        (fun batch words ->
-          let tagged =
-            List.map
-              (fun word ->
-                match lookup t word with
-                | Some answer ->
-                    record_hit (shard t word);
-                    Either.Left answer
-                | None ->
-                    record_miss (shard t word);
-                    Either.Right word)
-              words
-          in
-          let missing =
-            List.filter_map
-              (function Either.Right w -> Some w | Either.Left _ -> None)
-              tagged
-          in
-          let answers =
-            match missing with
-            | [] -> []
-            | _ ->
-                let answers = batch missing in
-                List.iter2 (insert t) missing answers;
-                answers
-          in
-          let rec stitch tagged answers =
-            match (tagged, answers) with
-            | [], [] -> []
-            | Either.Left a :: rest, answers -> a :: stitch rest answers
-            | Either.Right _ :: rest, a :: answers -> a :: stitch rest answers
-            | _ -> invalid_arg "Cache.Sharded.wrap: batch answer count mismatch"
-          in
-          stitch tagged answers)
-        mq.Oracle.ask_batch
-    in
-    { mq with Oracle.ask; ask_batch }
-end

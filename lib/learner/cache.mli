@@ -9,10 +9,13 @@
     Internally the trie is compacted: input and output symbols are
     interned into dense int ids and chains of single-child nodes are
     collapsed into path-compressed edges, so lookups scan int arrays
-    instead of probing a hashtable per symbol. {!lookup} and
-    {!lookup_longest_prefix} never mutate the structure, so read-only
-    probes from the exec pool's worker domains are safe while inserts
-    stay on the main domain. *)
+    instead of probing a hashtable per symbol.
+
+    A cache is safe to share across domains: one trie serves every
+    fleet session probing the same endpoint. Inserts take a mutex;
+    lookups stay lock-free, retried under the mutex only when a
+    seqlock generation check shows they overlapped an insert. The hit
+    and miss tallies are atomic. *)
 
 type ('i, 'o) t
 
@@ -42,6 +45,9 @@ val compacted_nodes : ('i, 'o) t -> int
     (exported as the [cache.trie.nodes] gauge). Always ≤ {!size}. *)
 
 val hits : ('i, 'o) t -> int
+(** Words answered from the cache by every {!wrap} view of it (exact
+    across domains). *)
+
 val misses : ('i, 'o) t -> int
 
 val dump : ('i, 'o) t -> ('i list * 'o list) list
@@ -51,7 +57,9 @@ val dump : ('i, 'o) t -> ('i list * 'o list) list
     symbol (polymorphic compare), independent of insertion history —
     so [dump]→[restore]→[dump] round-trips byte-identically, including
     for dumps produced by the pre-compaction implementation, whose
-    entry type is unchanged but whose hash-table order was arbitrary. *)
+    entry type is unchanged but whose hash-table order was arbitrary.
+    A cache filled from several domains dumps exactly like one filled
+    sequentially with the same words. *)
 
 val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
 (** Re-inserts a {!dump}. Restored entries do not count as hits or
@@ -65,60 +73,7 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     replay — a mismatch raises the same [Invalid_argument] as a
     conflicting {!insert} (nondeterministic SUL). If the underlying
     oracle supports [ask_batch], so does the wrapped one: cached words
-    are answered up front and only the misses are batched down. *)
-
-(** Concurrent sharded facade over K independent tries, for fleet
-    sessions that populate one shared membership cache from several
-    domains ({!Prognosis_service}).
-
-    Words are partitioned by a hash of the first symbol's value (the
-    stable stand-in for its per-shard interned id, which depends on
-    insertion history), so every prefix of a word lands in the same
-    shard. Each shard's mutex is taken only on insert; lookups run
-    lock-free and optimistic — a shard-level generation counter
-    detects an overlapping insert, in which case the answer is
-    discarded and the probe retried under the mutex. The per-shard
-    [cache.shard.{hits,misses,nodes}{shard=..}] labelled metrics land
-    in {!Prognosis_obs.Metrics.default}. *)
-module Sharded : sig
-  type ('i, 'o) t
-
-  val create : ?shards:int -> unit -> ('i, 'o) t
-  (** [shards] defaults to 8. @raise Invalid_argument when < 1. *)
-
-  val shards : ('i, 'o) t -> int
-
-  val shard_of : ('i, 'o) t -> 'i list -> int
-  (** Which shard holds a word (deterministic; [0] for the empty
-      word). Exposed for tests and shard-balance diagnostics. *)
-
-  val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
-  (** Like the unsharded {!Cache.insert}, serialized per shard.
-      Conflicting outputs raise [Invalid_argument]. *)
-
-  val lookup : ('i, 'o) t -> 'i list -> 'o list option
-  val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
-
-  val size : ('i, 'o) t -> int
-  val compacted_nodes : ('i, 'o) t -> int
-
-  val hits : ('i, 'o) t -> int
-  (** Aggregate {!wrap} hits across shards (exact: shard tallies are
-      atomic). *)
-
-  val misses : ('i, 'o) t -> int
-
-  val dump : ('i, 'o) t -> ('i list * 'o list) list
-  (** Canonical merged dump, byte-identical to the unsharded
-      {!Cache.dump} of one trie holding the same words: per-shard
-      canonical dumps merged back into global lexicographic symbol
-      order. Safe only while no insert is in flight. *)
-
-  val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
-
-  val wrap :
-    ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
-  (** Shared caching view, same contract as the unsharded
-      {!Cache.wrap}. Multiple sessions may hold wrapped oracles over
-      the same sharded cache concurrently — that is the point. *)
-end
+    are answered up front and only the misses are batched down. Each
+    miss is inserted once, by the view, after the underlying oracle
+    answers. Any number of views, on any domains, may share one
+    cache. *)

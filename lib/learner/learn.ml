@@ -25,20 +25,19 @@ let dispatch algorithm ?max_rounds ?on_round ~inputs ~mq ~eq () =
   | L_star -> Lstar.learn ?max_rounds ?on_round ~inputs ~mq ~eq ()
   | Ttt_tree -> Ttt.learn ?max_rounds ?on_round ~inputs ~mq ~eq ()
 
-let log_result name (model : ('i, 'o) Prognosis_automata.Mealy.t) rounds
+let log_result (model : ('i, 'o) Prognosis_automata.Mealy.t) rounds
     (stats : Oracle.stats) =
   Log.info (fun m ->
-      m "%s: %d states, %d transitions, %d membership queries, %d rounds" name
+      m "%d states, %d transitions, %d membership queries, %d rounds"
         (Prognosis_automata.Mealy.size model)
         (Prognosis_automata.Mealy.transitions model)
         stats.Oracle.membership_queries rounds)
 
-let learn_span ~algorithm ~subject ~cache f =
+let learn_span ~algorithm ~cache f =
   Trace.with_span
     ~attrs:
       [
         ("algorithm", Jsonx.String (algorithm_label algorithm));
-        ("subject", Jsonx.String subject);
         ("cache", Jsonx.Bool cache);
       ]
     "learn" f
@@ -52,31 +51,27 @@ let finish_span (r : ('i, 'o) result) =
   Trace.add_attr "cache_hits" (Jsonx.Int r.cache_hits);
   r
 
-(* With a checkpoint session the membership path gains the session's
-   snapshot-or-abort check after every answer, and round boundaries
-   flush pending material; [finish] leaves a snapshot of the completed
-   run behind (a post-success [resume] is then a pure cache replay). *)
-let ckpt_wrap checkpoint mq =
-  match checkpoint with Some ck -> Checkpoint.instrument ck mq | None -> mq
-
-let ckpt_on_round checkpoint =
-  Option.map (fun ck -> Checkpoint.on_round ck) checkpoint
-
-let ckpt_finish checkpoint = Option.iter Checkpoint.finish checkpoint
-
 let run_mq ?(algorithm = Ttt_tree) ?max_rounds ?cache_stats ?checkpoint ~inputs
     ~mq ~eq () =
   let cached = Option.is_some cache_stats in
-  learn_span ~algorithm ~subject:"mq" ~cache:cached (fun () ->
+  learn_span ~algorithm ~cache:cached (fun () ->
+      (* With a checkpoint session the membership path gains the
+         session's snapshot-or-abort check after every answer, round
+         boundaries flush pending material, and [finish] leaves a
+         snapshot of the completed run behind (a post-success resume
+         is then a pure cache replay). *)
       let model, rounds =
         dispatch algorithm ?max_rounds
-          ?on_round:(ckpt_on_round checkpoint)
+          ?on_round:(Option.map Checkpoint.on_round checkpoint)
           ~inputs
-          ~mq:(ckpt_wrap checkpoint mq)
+          ~mq:
+            (match checkpoint with
+            | Some ck -> Checkpoint.instrument ck mq
+            | None -> mq)
           ~eq ()
       in
-      ckpt_finish checkpoint;
-      log_result "run_mq" model rounds mq.Oracle.stats;
+      Option.iter Checkpoint.finish checkpoint;
+      log_result model rounds mq.Oracle.stats;
       let hits, misses =
         match cache_stats with Some f -> f () | None -> (0, 0)
       in
@@ -92,54 +87,10 @@ let run_mq ?(algorithm = Ttt_tree) ?max_rounds ?cache_stats ?checkpoint ~inputs
           cache_misses = misses;
         })
 
-let run ?(algorithm = Ttt_tree) ?max_rounds ?(cache = true) ?checkpoint ~inputs
-    ~sul ~eq () =
-  let subject = sul.Prognosis_sul.Sul.description in
-  let cache = cache || Option.is_some checkpoint in
-  learn_span ~algorithm ~subject ~cache (fun () ->
-      let raw = Oracle.of_sul sul in
-      if cache then begin
-        let c =
-          match checkpoint with
-          | Some ck -> Checkpoint.cache ck
-          | None -> Cache.create ()
-        in
-        let mq = ckpt_wrap checkpoint (Cache.wrap c raw) in
-        let model, rounds =
-          dispatch algorithm ?max_rounds
-            ?on_round:(ckpt_on_round checkpoint)
-            ~inputs ~mq ~eq ()
-        in
-        ckpt_finish checkpoint;
-        log_result subject model rounds raw.Oracle.stats;
-        (* The cache is the single gate in front of the SUL: the raw
-           oracle only ever answers cache misses, so the two counts
-           must agree — a violation means some layer double-counted or
-           bypassed the cache (see docs/OBSERVABILITY.md). *)
-        assert (raw.Oracle.stats.Oracle.membership_queries = Cache.misses c);
-        let hits = Cache.hits c and misses = Cache.misses c in
-        if hits + misses > 0 then
-          Metrics.set g_hit_rate
-            (float_of_int hits /. float_of_int (hits + misses));
-        finish_span
-          {
-            model;
-            rounds;
-            stats = raw.Oracle.stats;
-            cache_hits = hits;
-            cache_misses = misses;
-          }
-      end
-      else begin
-        let model, rounds =
-          dispatch algorithm ?max_rounds ~inputs ~mq:raw ~eq ()
-        in
-        finish_span
-          {
-            model;
-            rounds;
-            stats = raw.Oracle.stats;
-            cache_hits = 0;
-            cache_misses = 0;
-          }
-      end)
+let run ?algorithm ?max_rounds ~inputs ~sul ~eq () =
+  let c = Cache.create () in
+  run_mq ?algorithm ?max_rounds
+    ~cache_stats:(fun () -> (Cache.hits c, Cache.misses c))
+    ~inputs
+    ~mq:(Cache.wrap c (Oracle.of_sul sul))
+    ~eq ()

@@ -17,24 +17,18 @@ type ('i, 'o) result = {
 val run :
   ?algorithm:algorithm ->
   ?max_rounds:int ->
-  ?cache:bool ->
-  ?checkpoint:('i, 'o) Checkpoint.session ->
   inputs:'i array ->
   sul:('i, 'o) Prognosis_sul.Sul.t ->
   eq:('i, 'o) Oracle.equivalence ->
   unit ->
   ('i, 'o) result
-(** Learns a model of [sul]. Defaults: TTT, caching on, 200 rounds.
-    Statistics count the queries that actually reached the SUL (cache
-    hits are reported separately; with caching on, the driver checks
-    [stats.membership_queries = cache_misses]). The whole run executes
-    inside a ["learn"] span when {!Prognosis_obs.Trace} has a sink.
-
-    With [?checkpoint], the session's (possibly pre-warmed) cache
-    replaces the fresh one (caching is forced on), the membership path
-    snapshots the run per the session's policy — and aborts it with
-    {!Checkpoint.Budget_exhausted} when a query budget is set — and a
-    final snapshot is written on success. *)
+(** Learns a model of [sul]: {!run_mq} over
+    [Cache.wrap (Cache.create ()) (Oracle.of_sul sul)]. Defaults: TTT,
+    200 rounds. Statistics count the queries that actually reached
+    the SUL, which equal the cache misses; hits are reported
+    separately. The case studies learn through
+    [Prognosis_exec.Engine.learn] instead, whose sequential default
+    asks the same queries. *)
 
 val run_mq :
   ?algorithm:algorithm ->
@@ -46,10 +40,12 @@ val run_mq :
   eq:('i, 'o) Oracle.equivalence ->
   unit ->
   ('i, 'o) result
-(** Variant taking a prebuilt membership oracle (no extra caching).
-    When [mq] carries its own cache (the query-execution engine does),
-    pass [cache_stats] returning its (hits, misses) so the result and
-    the [learn.cache_hit_rate] gauge reflect it. With [?checkpoint],
-    [mq] must answer from the session's cache (build the engine with
-    [Engine.create ~cache:(Checkpoint.cache session)]) so snapshots
-    see every answered query. *)
+(** The learning driver, over a prebuilt membership oracle (no extra
+    caching). When [mq] carries its own cache (the query-execution
+    engine does), pass [cache_stats] returning its (hits, misses) so
+    the result and the [learn.cache_hit_rate] gauge reflect it. The
+    whole run executes inside a ["learn"] span when
+    {!Prognosis_obs.Trace} has a sink. With [?checkpoint],
+    [mq] must answer from the session's cache so snapshots see every
+    answered query ([Prognosis_exec.Engine.learn ~checkpoint] builds
+    its engine over that cache). *)

@@ -1,8 +1,6 @@
 module Mealy = Prognosis_automata.Mealy
-module Rng = Prognosis_sul.Rng
 module Learn = Prognosis_learner.Learn
 module Cache = Prognosis_learner.Cache
-module Eq_oracle = Prognosis_learner.Eq_oracle
 module Engine = Prognosis_exec.Engine
 module Library = Prognosis_fingerprint.Library
 module Splitter = Prognosis_fingerprint.Splitter
@@ -117,7 +115,6 @@ type session = {
 
 type shared_cache = {
   cache_endpoint : string;
-  shard_count : int;
   hits : int;
   misses : int;
   nodes : int;
@@ -138,54 +135,44 @@ let shared_hits t = List.fold_left (fun acc c -> acc + c.hits) 0 t.shared
 
 (* --- sessions --- *)
 
-(* The service learns every subject at the string level (the canonical
-   alphabet of the persisted models), so learn sessions can share the
-   same sharded membership cache identify sessions use. The
-   equivalence oracle mirrors the case studies' staple: W-method with
-   one extra state plus a seeded random-word sweep. *)
-let eq_oracle ~seed =
-  let rng = Rng.create (Int64.add seed 7L) in
-  Eq_oracle.combine
-    [
-      Eq_oracle.w_method ~extra_states:1 ();
-      Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1 ~max_len:12;
-    ]
-
-let run_learn ~shared ~config ~labels (job : job) =
-  let workers = config.Engine.workers in
-  let engine =
-    Engine.create ~config ~labels
-      ~factory:(job.subject.Subject.factory ~seed:job.seed ~workers)
-      ()
-  in
-  let mq = Cache.Sharded.wrap shared (Engine.membership engine) in
-  let r =
-    Learn.run_mq ~algorithm:job.algorithm
-      ~cache_stats:(fun () -> Engine.cache_stats engine)
-      ~inputs:job.subject.Subject.inputs ~mq ~eq:(eq_oracle ~seed:job.seed) ()
-  in
-  let canonical =
-    Persist.text_of_model ~kind:job.subject.Subject.kind
-      ~input_to_string:Fun.id ~output_to_string:Fun.id r.Learn.model
-  in
-  ( Learned
-      {
-        canonical;
-        states = Mealy.size r.Learn.model;
-        transitions = Mealy.transitions r.Learn.model;
-        rounds = r.Learn.rounds;
-      },
-    engine )
-
-let run_identify ~shared ~tree ~config ~labels (job : job) =
-  let workers = config.Engine.workers in
-  let engine =
-    Engine.create ~config ~labels
-      ~factory:(job.subject.Subject.factory ~seed:job.seed ~workers)
-      ()
-  in
-  let mq = Cache.Sharded.wrap shared (Engine.membership engine) in
-  (Identified (Identify.run ~mq tree), engine)
+(* Every session is one engine over its endpoint's shared cache, so
+   answers another session already paid for never reach this
+   session's pool, and the engine's hit/miss tallies are this
+   session's own. Learns run at the string level (the canonical
+   alphabet of the persisted models) with the case study's own
+   equivalence oracle. *)
+let run_session ~cache ~tree ~config ~labels (job : job) =
+  let subject = job.subject in
+  match job.op with
+  | Learn ->
+      let r, engine =
+        Engine.learn ~config ~labels ~cache ~algorithm:job.algorithm
+          ~factory:(subject.Subject.factory ~seed:job.seed)
+          ~inputs:subject.Subject.inputs
+          ~eq:(subject.Subject.eq ~seed:job.seed)
+          ()
+      in
+      let canonical =
+        Persist.text_of_model ~kind:subject.Subject.kind
+          ~input_to_string:Fun.id ~output_to_string:Fun.id r.Learn.model
+      in
+      ( Learned
+          {
+            canonical;
+            states = Mealy.size r.Learn.model;
+            transitions = Mealy.transitions r.Learn.model;
+            rounds = r.Learn.rounds;
+          },
+        engine )
+  | Identify ->
+      let engine =
+        Engine.create ~config ~labels ~cache
+          ~factory:
+            (subject.Subject.factory ~seed:job.seed
+               ~workers:config.Engine.workers)
+          ()
+      in
+      (Identified (Identify.run ~mq:(Engine.membership engine) tree), engine)
 
 (* --- the scheduler --- *)
 
@@ -193,8 +180,7 @@ exception Service_error of string
 
 let default_config = { Engine.default with Engine.batch = true }
 
-let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
-    () =
+let run ?(domains = 1) ?(config = default_config) ?library ~jobs () =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   (* Resident splitter forest: built (and its entry models packed)
@@ -217,7 +203,7 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
   match forest with
   | Error e -> Error e
   | Ok forest ->
-      (* One shared sharded cache per endpoint configuration: sessions
+      (* One shared cache per endpoint configuration: sessions
          probing behaviourally identical endpoints (same subject name —
          SUL answers are seed-invariant) pool their answers; distinct
          configurations must not, they answer differently. *)
@@ -226,7 +212,7 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
         (fun j ->
           let name = j.subject.Subject.name in
           if not (Hashtbl.mem caches name) then
-            Hashtbl.add caches name (Cache.Sharded.create ~shards ()))
+            Hashtbl.add caches name (Cache.create ()))
         jobs;
       let tree_for (j : job) =
         Option.value ~default:(Splitter.Leaf None)
@@ -236,14 +222,11 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
       let failures = Array.make n None in
       let next = Atomic.make 0 in
       let run_session i (job : job) =
-        let shared = Hashtbl.find caches job.subject.Subject.name in
+        let cache = Hashtbl.find caches job.subject.Subject.name in
         let labels = [ ("session", string_of_int i) ] in
         let t0 = Unix.gettimeofday () in
         let outcome, engine =
-          match job.op with
-          | Learn -> run_learn ~shared ~config ~labels job
-          | Identify ->
-              run_identify ~shared ~tree:(tree_for job) ~config ~labels job
+          run_session ~cache ~tree:(tree_for job) ~config ~labels job
         in
         let elapsed_s = Unix.gettimeofday () -. t0 in
         let stats = Engine.oracle_stats engine in
@@ -324,10 +307,9 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
                  Some
                    {
                      cache_endpoint = name;
-                     shard_count = Cache.Sharded.shards c;
-                     hits = Cache.Sharded.hits c;
-                     misses = Cache.Sharded.misses c;
-                     nodes = Cache.Sharded.size c;
+                     hits = Cache.hits c;
+                     misses = Cache.misses c;
+                     nodes = Cache.size c;
                    }
                end)
       in
@@ -395,7 +377,6 @@ let shared_json c =
   Jsonx.Obj
     [
       ("endpoint", Jsonx.String c.cache_endpoint);
-      ("shards", Jsonx.Int c.shard_count);
       ("hits", Jsonx.Int c.hits);
       ("misses", Jsonx.Int c.misses);
       ("nodes", Jsonx.Int c.nodes);

@@ -1,12 +1,12 @@
 (** Fleet scheduler: domain-parallel learning and identification
-    sessions over shared, sharded membership caches.
+    sessions over shared membership caches.
 
     A fleet is a list of jobs — learn or identify, any mix of
     subjects — executed on an OCaml 5 domain pool. Each session owns
-    its own {!Prognosis_exec.Engine} (its own SUL workers, its own
-    internal cache), but every session probing the same endpoint
-    configuration shares one {!Prognosis_learner.Cache.Sharded}
-    membership cache, and identify sessions share one resident
+    its own {!Prognosis_exec.Engine} (its own SUL workers), and every
+    session probing the same endpoint configuration builds that
+    engine over one shared {!Prognosis_learner.Cache.t} — the
+    session's only cache layer. Identify sessions share one resident
     {!Prognosis_fingerprint.Splitter} tree per model kind, compiled
     (and its entry models packed) once before fan-out. Answers served
     from the shared cache never touch a SUL, so a fleet identifying a
@@ -70,18 +70,19 @@ type session = {
   s_algorithm : Prognosis_learner.Learn.algorithm;
   outcome : outcome;
   membership_queries : int;
-      (** words that reached this session's engine, i.e. missed the
-          shared cache *)
+      (** words that reached this session's engine pool, i.e. missed
+          the shared cache *)
   membership_symbols : int;
   test_words : int;
-  cache_hits : int;  (** this session's engine-internal cache *)
-  cache_misses : int;
+  cache_hits : int;
+      (** words this session asked that the shared cache answered;
+          summed over a fleet's sessions, the shared caches' [hits] *)
+  cache_misses : int;  (** = [membership_queries] *)
   elapsed_s : float;
 }
 
 type shared_cache = {
   cache_endpoint : string;
-  shard_count : int;
   hits : int;
   misses : int;
   nodes : int;
@@ -108,7 +109,6 @@ val default_config : Prognosis_exec.Engine.config
 
 val run :
   ?domains:int ->
-  ?shards:int ->
   ?config:Prognosis_exec.Engine.config ->
   ?library:Prognosis_fingerprint.Library.t ->
   jobs:job list ->
@@ -116,10 +116,9 @@ val run :
   (t, string) result
 (** Run the fleet. [domains] (default 1) is clamped to the job count
     and forced to 1 while a trace sink is set (the sink is not
-    domain-safe); [shards] (default 8) sizes each shared cache;
-    [config] (default {!default_config}) applies to every session's
-    engine. [library] is required when any job identifies ([Error]
-    otherwise; also on a library whose splitter tree fails to
+    domain-safe); [config] (default {!default_config}) applies to every
+    session's engine. [library] is required when any job identifies
+    ([Error] otherwise; also on a library whose splitter tree fails to
     compile). A session raising (nondeterministic SUL, conflicting
     cache insert) re-raises here after every domain has joined —
     the first failure in job order wins. *)

@@ -1,6 +1,8 @@
 module Mealy = Prognosis_automata.Mealy
 module Sul = Prognosis_sul.Sul
 module Learn = Prognosis_learner.Learn
+module Oracle = Prognosis_learner.Oracle
+module Engine = Prognosis_exec.Engine
 open Prognosis
 
 type t = {
@@ -8,6 +10,7 @@ type t = {
   kind : Persist.kind;
   inputs : string array;
   factory : seed:int64 -> workers:int -> int -> (string, string) Sul.t;
+  eq : seed:int64 -> (string, string) Oracle.equivalence;
   learn :
     seed:int64 ->
     algorithm:Learn.algorithm ->
@@ -26,13 +29,6 @@ let profile_of_name name =
                  (fun p -> p.Prognosis_quic.Quic_profile.name)
                  Prognosis_quic.Quic_profile.all)))
 
-let seeded_factory make ~seed ~workers =
-  let master = Prognosis_sul.Rng.create seed in
-  let wseeds =
-    Array.map Prognosis_sul.Rng.next64 (Prognosis_sul.Rng.split_n master workers)
-  in
-  fun i -> make wseeds.(i)
-
 let tcp name server_config =
   let module A = Prognosis_tcp.Tcp_alphabet in
   let wrap =
@@ -44,11 +40,12 @@ let tcp name server_config =
     kind = Persist.Tcp_model;
     inputs = Array.map A.to_string A.all;
     factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed:wseed ()))
-          ~seed ~workers);
+      (fun ~seed ->
+        Engine.seeded_factory
+          (fun seed ->
+            wrap (Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed ()))
+          ~seed);
+    eq = (fun ~seed -> Tcp_study.eq_oracle A.to_string ~seed);
     learn =
       (fun ~seed ~algorithm ~exec ->
         let r = Tcp_study.learn ~seed ~algorithm ~server_config ?exec () in
@@ -68,11 +65,12 @@ let dtls name server_config =
     kind = Persist.Dtls_model;
     inputs = Array.map A.to_string A.all;
     factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed:wseed ()))
-          ~seed ~workers);
+      (fun ~seed ->
+        Engine.seeded_factory
+          (fun seed ->
+            wrap (Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed ()))
+          ~seed);
+    eq = (fun ~seed -> Dtls_study.eq_oracle A.to_string ~seed);
     learn =
       (fun ~seed ~algorithm ~exec ->
         let r = Dtls_study.learn ~seed ~algorithm ~server_config ?exec () in
@@ -92,11 +90,11 @@ let quic name profile =
     kind = Persist.Quic_model;
     inputs = Array.map A.to_string A.all;
     factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_quic.Quic_adapter.sul ~profile ~seed:wseed ()))
-          ~seed ~workers);
+      (fun ~seed ->
+        Engine.seeded_factory
+          (fun seed -> wrap (Prognosis_quic.Quic_adapter.sul ~profile ~seed ()))
+          ~seed);
+    eq = (fun ~seed -> Quic_study.eq_oracle A.to_string ~seed);
     learn =
       (fun ~seed ~algorithm ~exec ->
         let r = Quic_study.learn ~seed ~algorithm ?exec ~profile () in

@@ -2,7 +2,9 @@
 
     A subject names one live endpoint configuration the toolchain can
     both probe (an {!Prognosis_exec.Engine} worker factory over the
-    string-level SUL view) and learn in full through its case study.
+    string-level SUL view) and learn in full, through its case study
+    or, at the string level, through {!Prognosis_exec.Engine.learn}
+    with the study's equivalence oracle.
     This used to live inside the CLI; the fleet scheduler
     ({!Service}) needs it as a library, and the CLI now reuses it. *)
 
@@ -16,7 +18,11 @@ type t = {
   factory :
     seed:int64 -> workers:int -> int -> (string, string) Prognosis_sul.Sul.t;
       (** [factory ~seed ~workers i] is worker [i]'s independent SUL
-          instance (per-worker RNG streams split from [seed]) *)
+          instance (per-worker RNG streams split from [seed] by
+          {!Prognosis_exec.Engine.seeded_factory}) *)
+  eq : seed:int64 -> (string, string) Prognosis_learner.Oracle.equivalence;
+      (** the case study's own equivalence oracle at the string level
+          (DTLS's includes its handshake scenarios), fresh per learn *)
   learn :
     seed:int64 ->
     algorithm:Prognosis_learner.Learn.algorithm ->
@@ -34,8 +40,3 @@ val of_name : string -> (t, string) result
 
 val profile_of_name :
   string -> (Prognosis_quic.Quic_profile.t, string) result
-
-val seeded_factory :
-  (int64 -> 'a) -> seed:int64 -> workers:int -> int -> 'a
-(** [seeded_factory make ~seed ~workers] splits [seed] into [workers]
-    independent streams and builds worker [i] with [make seed_i]. *)

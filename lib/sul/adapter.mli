@@ -36,8 +36,10 @@ val to_sul : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
     (delimited by resets) is still recorded in the Oracle Table when it
     completes, so synthesis can mine it later. The study pipelines
     ([Tcp_study], [Quic_study], [Dtls_study]) learn through this view
-    on their direct path: they return the adapter, so its table is
-    readable and feeds synthesis. *)
+    by default, as the one worker of a sequential engine (which never
+    resumes mid-word, so every query is delimited by a reset): they
+    return the adapter, so its table is readable and feeds
+    synthesis. *)
 
 val to_sul_unrecorded : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
 (** The same view without the Oracle Table: each step runs the

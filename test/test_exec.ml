@@ -88,6 +88,20 @@ let resume_skips_reset () =
   Alcotest.(check int) "one reset" 1 s.Engine.resets;
   Alcotest.(check int) "two steps" 2 s.Engine.steps
 
+(* The sequential oracle replays every miss from reset, like
+   [Oracle.of_sul]: its worker may be a recording adapter, whose
+   Oracle Table delimits queries by resets. *)
+let sequential_never_resumes () =
+  let e = engine_for ~config:Engine.sequential counter3 in
+  let mq = Engine.membership e in
+  ignore (mq.Oracle.ask [ 'a' ]);
+  Alcotest.(check (list string)) "extension" [ "0"; "1" ]
+    (mq.Oracle.ask [ 'a'; 'a' ]);
+  let s = Engine.stats e in
+  Alcotest.(check int) "no resumed run" 0 s.Engine.resumed;
+  Alcotest.(check int) "two resets" 2 s.Engine.resets;
+  Alcotest.(check int) "three steps" 3 s.Engine.steps
+
 let baseline_counts_cache_hits () =
   let e = engine_for counter3 in
   let mq = Engine.membership e in
@@ -370,6 +384,52 @@ let quic_study_pooled () =
     true
     (4 * actual <= 3 * baseline)
 
+(* The default study learn is the sequential engine over the study's
+   recording adapter; it must ask exactly what [Learn.run]'s direct
+   path over the same adapter asks, and record the same Oracle Table.
+   On this dtls:no-cookie seed a resuming engine loses entries. *)
+let default_learn_is_direct_path () =
+  let seed = 651194124L in
+  let server_config =
+    {
+      Prognosis_dtls.Dtls_server.default_config with
+      Prognosis_dtls.Dtls_server.require_cookie = false;
+    }
+  in
+  let study = Dtls_study.learn ~seed ~server_config () in
+  let adapter, _ = Prognosis_dtls.Dtls_adapter.create ~server_config ~seed () in
+  let direct =
+    Learn.run ~inputs:Prognosis_dtls.Dtls_alphabet.all
+      ~sul:(Prognosis_sul.Adapter.to_sul adapter)
+      ~eq:(Dtls_study.eq_oracle Fun.id ~seed)
+      ()
+  in
+  let r = study.Dtls_study.report in
+  Alcotest.(check bool) "same model" true
+    (Mealy.equivalent study.Dtls_study.model direct.Learn.model = None);
+  Alcotest.(check (list int)) "same counters"
+    [
+      direct.Learn.stats.Oracle.membership_queries;
+      direct.Learn.stats.Oracle.membership_symbols;
+      direct.Learn.stats.Oracle.test_words;
+      direct.Learn.cache_hits;
+    ]
+    [
+      r.Report.membership_queries;
+      r.Report.membership_symbols;
+      r.Report.test_words;
+      r.Report.cache_hits;
+    ];
+  let words table =
+    List.sort compare
+      (List.map
+         (fun e -> e.Prognosis_sul.Oracle_table.abstract_inputs)
+         (Prognosis_sul.Oracle_table.entries table))
+  in
+  Alcotest.(check bool) "same Oracle Table words" true
+    (words study.Dtls_study.adapter.Prognosis_sul.Adapter.table
+    = words adapter.Prognosis_sul.Adapter.table)
+
 let () =
   Alcotest.run "exec"
     [
@@ -384,6 +444,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "resume skips reset" `Quick resume_skips_reset;
+          Alcotest.test_case "sequential never resumes" `Quick
+            sequential_never_resumes;
           Alcotest.test_case "baseline counts hits" `Quick
             baseline_counts_cache_hits;
           Alcotest.test_case "observational equivalence" `Quick
@@ -409,5 +471,7 @@ let () =
         [
           Alcotest.test_case "tcp savings >= 25%" `Slow tcp_study_savings;
           Alcotest.test_case "quic pooled" `Slow quic_study_pooled;
+          Alcotest.test_case "default learn == direct path" `Slow
+            default_learn_is_direct_path;
         ] );
     ]

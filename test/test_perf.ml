@@ -1,7 +1,8 @@
 (* The compiled-hot-path invariants behind the CI perf gate: packed
    stepping agrees with the functional reference on arbitrary machines,
    the compacted trie cache round-trips through the checkpoint format
-   byte-identically, and the sharded equivalence oracle produces the
+   byte-identically and fills from several domains exactly as from
+   one, and the sharded equivalence oracle produces the
    same model as a sequential run. The lean SUL stack is pinned too:
    DTLS record protection matches known answers, the non-recording
    adapter view answers as the recording one does, QUIC outputs render
@@ -11,6 +12,7 @@
 
 module Mealy = Prognosis_automata.Mealy
 module Cache = Prognosis_learner.Cache
+module Oracle = Prognosis_learner.Oracle
 module Metrics = Prognosis_obs.Metrics
 module Engine = Prognosis_exec.Engine
 module Quic_alphabet = Prognosis_quic.Quic_alphabet
@@ -118,12 +120,12 @@ let trie_restores_old_format_order () =
   Alcotest.(check bool) "canonical dump independent of input order" true
     (Cache.dump c2 = d)
 
-(* --- sharded cache == one trie, under any shard count --- *)
+(* --- one shared trie, filled from any number of domains --- *)
 
 (* Random prefix-consistent word sets (answered by a fixed machine,
-   like [consistent_queries]) dumped from a [Cache.Sharded] must be
-   byte-identical to the unsharded canonical dump — that is what lets
-   a fleet checkpoint interchange with a solo one. *)
+   like [consistent_queries]) inserted by K writer domains into one
+   shared cache must dump byte-identically to a sequential fill — that
+   is what lets a fleet checkpoint interchange with a solo one. *)
 let gen_word_set =
   let open QCheck2.Gen in
   let m =
@@ -134,30 +136,34 @@ let gen_word_set =
     (list_size (int_range 0 10) (int_range 0 3))
   >>= fun words -> return (List.map (fun w -> (w, Mealy.run m w)) words)
 
-let prop_sharded_dump_canonical =
+let prop_domain_fill_dump_canonical =
   QCheck2.Test.make ~count:60
-    ~name:"Sharded.dump == unsharded dump for K in {1,4,8}"
+    ~name:"K-domain fill == sequential dump"
     gen_word_set (fun qs ->
       let flat = Cache.create () in
       List.iter (fun (w, o) -> Cache.insert flat w o) qs;
       let reference = Cache.dump flat in
       List.for_all
         (fun k ->
-          let sharded = Cache.Sharded.create ~shards:k () in
-          List.iter (fun (w, o) -> Cache.Sharded.insert sharded w o) qs;
-          Cache.Sharded.dump sharded = reference
-          && Cache.Sharded.size sharded = Cache.size flat
-          && List.for_all
-               (fun (w, o) -> Cache.Sharded.lookup sharded w = Some o)
-               qs)
+          let shared = Cache.create () in
+          let writer d () =
+            List.iteri
+              (fun i (w, o) -> if i mod k = d then Cache.insert shared w o)
+              qs
+          in
+          List.init k (fun d -> Domain.spawn (writer d))
+          |> List.iter Domain.join;
+          Cache.dump shared = reference
+          && Cache.size shared = Cache.size flat
+          && List.for_all (fun (w, o) -> Cache.lookup shared w = Some o) qs)
         [ 1; 4; 8 ])
 
-(* Four domains hammering the same sharded cache: two inserting
-   disjoint prefix-consistent sets, two doing optimistic lookups the
-   whole time. Every lookup that returns must return the machine's
-   answer (the seqlock may retry but never tears), and the final dump
-   equals a sequential insert of everything. *)
-let sharded_stress_four_domains () =
+(* Four domains hammering one shared cache: two inserting disjoint
+   prefix-consistent sets, two asking through caching views the whole
+   time. Every answer must be the machine's (the seqlock may retry but
+   never tears), the atomic tallies must account for every ask, and
+   the final dump equals a sequential insert of everything. *)
+let shared_stress_four_domains () =
   let m =
     Mealy.of_fun ~size:7 ~initial:0 ~inputs:[| 0; 1; 2; 3; 4 |]
       ~step:(fun s i -> ((s + i + 2) mod 7, (s * 7) + (2 * i)))
@@ -170,20 +176,18 @@ let sharded_stress_four_domains () =
         List.init len (fun _ -> Prognosis_sul.Rng.int rng 5))
   in
   let batch_a = words_of 31L 400 and batch_b = words_of 32L 400 in
-  let cache = Cache.Sharded.create ~shards:8 () in
-  let torn = Atomic.make 0 and looked = Atomic.make 0 in
+  let cache = Cache.create () in
+  let torn = Atomic.make 0 and asked = Atomic.make 0 in
   let inserter batch () =
-    List.iter (fun w -> Cache.Sharded.insert cache w (answers w)) batch
+    List.iter (fun w -> Cache.insert cache w (answers w)) batch
   in
   let prober batch () =
+    let mq = Cache.wrap cache (Oracle.of_fun answers) in
     for _ = 1 to 30 do
       List.iter
         (fun w ->
-          match Cache.Sharded.lookup cache w with
-          | Some o ->
-              Atomic.incr looked;
-              if o <> answers w then Atomic.incr torn
-          | None -> ())
+          Atomic.incr asked;
+          if mq.Oracle.ask w <> answers w then Atomic.incr torn)
         batch
     done
   in
@@ -192,15 +196,18 @@ let sharded_stress_four_domains () =
       [ inserter batch_a; prober batch_b; inserter batch_b; prober batch_a ]
   in
   List.iter Domain.join ds;
-  Alcotest.(check int) "no lookup ever tore" 0 (Atomic.get torn);
-  Alcotest.(check bool) "probers saw published entries" true
-    (Atomic.get looked > 0);
+  Alcotest.(check int) "no answer ever tore" 0 (Atomic.get torn);
+  Alcotest.(check bool) "probers were served from the cache" true
+    (Cache.hits cache > 0);
+  Alcotest.(check int) "hits + misses = asks across all domains"
+    (Atomic.get asked)
+    (Cache.hits cache + Cache.misses cache);
   let sequential = Cache.create () in
   List.iter
     (fun w -> Cache.insert sequential w (answers w))
     (batch_a @ batch_b);
   Alcotest.(check bool) "dump == sequential insert of both batches" true
-    (Cache.Sharded.dump cache = Cache.dump sequential)
+    (Cache.dump cache = Cache.dump sequential)
 
 (* --- sharded equivalence testing is deterministic --- *)
 
@@ -626,9 +633,9 @@ let () =
         ] );
       ( "sharded",
         [
-          QCheck_alcotest.to_alcotest prop_sharded_dump_canonical;
+          QCheck_alcotest.to_alcotest prop_domain_fill_dump_canonical;
           Alcotest.test_case "4-domain stress" `Slow
-            sharded_stress_four_domains;
+            shared_stress_four_domains;
         ] );
       ( "parallel-eq",
         [

@@ -1,8 +1,10 @@
 (* Fleet-scheduler invariants behind the @service alias: session
    results are byte-identical to solo runs of the same jobs and
-   invariant under the domain count, results merge in job order, the
-   shared cache actually saves queries across a fleet, and the jobs
-   file / service report schemas round-trip. The core-count-guarded
+   invariant under the domain count, a fleet learn gives the case
+   study's own model, results merge in job order, the shared cache
+   actually saves queries across a fleet and each session's cache
+   tallies are its own, and the jobs file / service report schemas
+   round-trip. The core-count-guarded
    throughput check asserts the >= 2x speedup the scheduler exists
    for, and skips on boxes without enough cores to show it. *)
 
@@ -13,6 +15,9 @@ module Identify = Prognosis_fingerprint.Identify
 module Jsonx = Prognosis_obs.Jsonx
 module Metrics = Prognosis_obs.Metrics
 module Learn = Prognosis_learner.Learn
+module Persist = Prognosis.Persist
+module Dtls_study = Prognosis.Dtls_study
+module Dtls_alphabet = Prognosis_dtls.Dtls_alphabet
 
 let subject name =
   match Subject.of_name name with
@@ -98,6 +103,74 @@ let fleet_domains_invariant () =
         (outcome_key a.Service.outcome)
         (outcome_key b.Service.outcome))
     one.Service.sessions four.Service.sessions
+
+(* A fleet learns DTLS with the study's own equivalence oracle,
+   handshake scenarios included: on this seed a generic W-method plus
+   random-word oracle stops at a 3-state model, the study finds 7. *)
+let fleet_learn_matches_study () =
+  let seed = 150148255L in
+  let fleet = run_fleet [ Service.job ~seed Service.Learn (subject "dtls") ] in
+  let solo = Dtls_study.learn ~seed () in
+  let solo_text =
+    Persist.text_of_model ~kind:Persist.Dtls_model
+      ~input_to_string:Dtls_alphabet.to_string
+      ~output_to_string:Dtls_alphabet.output_to_string solo.Dtls_study.model
+  in
+  match (List.hd fleet.Service.sessions).Service.outcome with
+  | Service.Learned { canonical; _ } ->
+      Alcotest.(check string) "fleet dtls model == Dtls_study.learn model"
+        solo_text canonical
+  | Service.Identified _ -> Alcotest.fail "a learn job must learn"
+
+(* Each session has exactly one cache layer, the endpoint's shared
+   cache: its hits are the words that cache served it, its misses the
+   words its own pool ran, and the sessions' tallies add up to the
+   shared caches' — at one domain and at two. *)
+let session_cache_tallies () =
+  let jobs =
+    [
+      Service.job ~seed:1L Service.Identify (subject "tcp");
+      Service.job ~seed:2L Service.Identify (subject "tcp");
+      Service.job ~seed:3L Service.Learn (subject "tcp");
+      Service.job ~seed:4L Service.Identify (subject "quic:quiche-like");
+      Service.job ~seed:5L Service.Identify (subject "quic:quiche-like");
+    ]
+  in
+  List.iter
+    (fun domains ->
+      let fleet = run_fleet ~domains jobs in
+      let sessions = fleet.Service.sessions in
+      List.iter
+        (fun (s : Service.session) ->
+          Alcotest.(check int)
+            (Printf.sprintf "session %d: misses = SUL queries" s.Service.index)
+            s.Service.membership_queries s.Service.cache_misses;
+          match s.Service.outcome with
+          | Service.Identified r ->
+              Alcotest.(check int)
+                (Printf.sprintf "session %d: hits + misses = words asked"
+                   s.Service.index)
+                (r.Identify.walk_words + r.Identify.confirm_words)
+                (s.Service.cache_hits + s.Service.cache_misses)
+          | Service.Learned _ -> ())
+        sessions;
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 in
+      Alcotest.(check int)
+        (Printf.sprintf "%d domain(s): session hits sum to shared hits" domains)
+        (Service.shared_hits fleet)
+        (sum (fun (s : Service.session) -> s.Service.cache_hits) sessions);
+      Alcotest.(check int)
+        (Printf.sprintf "%d domain(s): session misses sum to shared misses"
+           domains)
+        (sum (fun (c : Service.shared_cache) -> c.Service.misses)
+           fleet.Service.shared)
+        (sum (fun (s : Service.session) -> s.Service.cache_misses) sessions);
+      if domains = 1 then
+        Alcotest.(check bool)
+          "the second tcp identify is served by the cache the first warmed"
+          true
+          ((List.nth sessions 1).Service.cache_hits > 0))
+    [ 1; 2 ]
 
 let merge_order () =
   let jobs = mixed_jobs () in
@@ -232,6 +305,10 @@ let () =
           Alcotest.test_case "fleet == solo, per job" `Slow fleet_matches_solo;
           Alcotest.test_case "results invariant under domains" `Slow
             fleet_domains_invariant;
+          Alcotest.test_case "dtls learn == study" `Slow
+            fleet_learn_matches_study;
+          Alcotest.test_case "session cache tallies" `Slow
+            session_cache_tallies;
           Alcotest.test_case "merged in job order" `Quick merge_order;
           Alcotest.test_case "shared cache saves queries" `Slow
             shared_cache_saves_queries;
