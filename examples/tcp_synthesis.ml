@@ -1,7 +1,10 @@
 (* Register synthesis over the TCP Oracle Table (the paper's §4.3 and
    Figure 3(c)): enrich the learned abstract handshake model with
-   sequence/acknowledgement-number behaviour mined from the concrete
-   traces cached during learning.
+   sequence/acknowledgement-number behaviour mined from concrete
+   traces. Learning records nothing; the witness words below are asked
+   through the study's adapter after learning ([Tcp_study.synthesize]
+   runs them with [Adapter.query]), and the Oracle Table holds exactly
+   their exchanges.
 
    The synthesized terms recover the classic invariants:
    - the SYN+ACK acknowledges seq+1 of the client's SYN,

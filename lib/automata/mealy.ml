@@ -6,14 +6,15 @@ module Metrics = Prognosis_obs.Metrics
    per-step allocation, no polymorphic comparison. The form is memoized
    on the machine record ([t.packed_]) so every hot path that replays
    words over the same machine (equivalence suites, product BFS, test
-   generation) pays the O(size × alpha) compilation once. *)
+   generation) pays the O(size × alpha) compilation once. The memo is
+   an [Atomic] cell, so domains may race to pack one machine. *)
 type ('i, 'o) t = {
   size : int;
   initial : int;
   inputs : 'i array;
   delta : int array array;
   lambda : 'o array array;
-  mutable packed_ : ('i, 'o) packed option;
+  packed_ : ('i, 'o) packed option Atomic.t;
 }
 
 and ('i, 'o) packed = {
@@ -51,7 +52,7 @@ let make ~size ~initial ~inputs ~delta ~lambda =
       if Array.length row <> n_inputs then
         invalid_arg "Mealy.make: lambda row width mismatch")
     lambda;
-  { size; initial; inputs; delta; lambda; packed_ = None }
+  { size; initial; inputs; delta; lambda; packed_ = Atomic.make None }
 
 let of_fun ~size ~initial ~inputs ~step =
   let n = Array.length inputs in
@@ -130,16 +131,16 @@ module Packed = struct
       p_index = index;
     }
 
-  (* Memoized: repeated packs of the same machine are one field read.
-     Not domain-safe — pack before handing a machine to parallel
-     consumers (the exec pool packs on the main domain only). *)
+  (* Memoized: repeated packs of the same machine are one atomic read.
+     Racing first packs each build, one publishes, and the others
+     adopt the published value, so every caller gets the same one. *)
   let pack m =
-    match m.packed_ with
+    match Atomic.get m.packed_ with
     | Some p -> p
     | None ->
         let p = build m in
-        m.packed_ <- Some p;
-        p
+        if Atomic.compare_and_set m.packed_ None (Some p) then p
+        else Option.get (Atomic.get m.packed_)
 
   let size p = p.p_size
   let initial p = p.p_initial
@@ -561,4 +562,8 @@ let to_dot ?(name = "mealy") ~input_pp ~output_pp m =
   Buffer.contents buf
 
 let map_outputs f m =
-  { m with lambda = Array.map (Array.map f) m.lambda; packed_ = None }
+  {
+    m with
+    lambda = Array.map (Array.map f) m.lambda;
+    packed_ = Atomic.make None;
+  }

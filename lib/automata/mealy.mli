@@ -20,7 +20,7 @@ type ('i, 'o) t = private {
   inputs : 'i array;  (** the input alphabet *)
   delta : int array array;  (** [delta.(s).(i)] = successor state *)
   lambda : 'o array array;  (** [lambda.(s).(i)] = output symbol *)
-  mutable packed_ : ('i, 'o) packed option;
+  packed_ : ('i, 'o) packed option Atomic.t;
       (** memoized packed form; managed by {!Packed.pack} *)
 }
 
@@ -84,15 +84,17 @@ val run_reference_from : ('i, 'o) t -> int -> 'i list -> 'o list
     cost is O(size × alphabet); {!Packed.pack} memoizes the result on
     the machine record.
 
-    Packing and the memoizing field are not domain-safe: pack on one
-    domain before sharing a machine with parallel consumers. A packed
-    value itself is immutable and safe to read concurrently. *)
+    Packing is domain-safe: the memo is published with
+    [Atomic.compare_and_set], so domains racing to pack one machine
+    all get the physically same packed value. A packed value itself is
+    immutable and safe to read concurrently. *)
 module Packed : sig
   type ('i, 'o) machine = ('i, 'o) t
   type nonrec ('i, 'o) t = ('i, 'o) packed
 
   val pack : ('i, 'o) machine -> ('i, 'o) t
-  (** Compile (memoized — subsequent calls are one field read). *)
+  (** Compile (memoized — subsequent calls are one atomic read; safe to
+      race across domains). *)
 
   val size : ('i, 'o) t -> int
   val initial : ('i, 'o) t -> int

@@ -59,7 +59,6 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
   let result, engine =
     Engine.learn ?config:exec ~algorithm
       ?checkpoint:(Option.map (Checkpoint.start ~kind:"dtls") checkpoint)
-      ~recorded:(Adapter.to_sul adapter)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Prognosis_dtls.Dtls_adapter.sul ?server_config ~seed ())

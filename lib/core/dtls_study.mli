@@ -39,9 +39,10 @@ val learn :
   unit ->
   result
 (** Learns through {!eq_oracle} on {!Prognosis_exec.Engine.learn}.
-    Without [?exec] the engine is sequential and its one worker is
-    the returned [adapter], which records the Oracle Table. With
-    [?exec], membership queries run through the query-execution
+    Without [?exec] the engine is sequential: one
+    {!Prognosis_dtls.Dtls_adapter.sul} worker. Learning records
+    nothing: the returned [adapter] is fresh, for witness queries
+    through {!Prognosis_sul.Adapter.query}. With [?exec], membership queries run through the query-execution
     engine pool and the report carries an [exec] stats section. With
     [?checkpoint], the run snapshots and resumes per the spec; may
     raise {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)

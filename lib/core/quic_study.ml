@@ -48,7 +48,6 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
   let result, engine =
     Engine.learn ?config:exec ~algorithm
       ?checkpoint:(Option.map (Checkpoint.start ~kind) checkpoint)
-      ~recorded:(Adapter.to_sul adapter)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Quic_adapter.sul ~profile ?client_config ~seed ())

@@ -43,8 +43,10 @@ val learn :
     ({!Alphabet.all}); pass {!Alphabet.extended} for the nine-symbol
     variant used by the alphabet-size ablation. Learns through
     {!eq_oracle} on {!Prognosis_exec.Engine.learn}: without [?exec]
-    the engine is sequential and its one worker is the returned
-    [adapter], which records the Oracle Table. With [?exec],
+    the engine is sequential, one {!Prognosis_quic.Quic_adapter.sul}
+    worker. Learning records nothing: the returned [adapter] and
+    [client] are fresh, and serve only the witness queries
+    ({!synthesize_sdb}, {!packet_number_sequences}). With [?exec],
     membership queries run through the query-execution engine pool
     and the report carries an [exec] stats section. With [?checkpoint],
     the run snapshots and resumes per the spec (the checkpoint kind is

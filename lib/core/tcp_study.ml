@@ -38,15 +38,13 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
   let module Metrics = Prognosis_obs.Metrics in
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs" [ ("study", "tcp") ]);
-  (* The adapter kept in the result records the Oracle Table for
-     synthesis: it is the sequential default's one worker. With an
-     engine config the pool workers are separate instances and
-     witness queries replay through this one. *)
+  (* Learning runs on the factory's SULs; this adapter only answers the
+     witness queries ([witness_traces]), so its Oracle Table holds
+     exactly what they asked. *)
   let adapter = Tcp_adapter.create ?server_config ~seed () in
   let result, engine =
     Engine.learn ?config:exec ~algorithm
       ?checkpoint:(Option.map (Checkpoint.start ~kind:"tcp") checkpoint)
-      ~recorded:(Adapter.to_sul adapter)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Tcp_adapter.sul ?server_config ~seed ())

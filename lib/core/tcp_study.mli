@@ -38,13 +38,14 @@ val learn :
   result
 (** Learns through {!eq_oracle} (W-method + random words) on
     {!Prognosis_exec.Engine.learn}. Without [?exec] the engine is
-    sequential and its one worker is the returned [adapter], which
-    records the Oracle Table. With
+    sequential: one {!Prognosis_tcp.Tcp_adapter.sul} worker. With
     [?exec], membership queries run through the query-execution engine
     ({!Prognosis_exec.Engine}): a pool of [exec.workers] independent
     adapters (seeds derived by {!Prognosis_sul.Rng.split_n}), batched
     and prefix-sharing; the report then carries an [exec] stats
-    section. With [?checkpoint], the run snapshots its query cache (and
+    section. Learning records nothing: the returned [adapter] (seeded
+    with [seed]) is fresh, and its Oracle Table fills only with the
+    words {!witness_traces} asks. With [?checkpoint], the run snapshots its query cache (and
     the engine's robustness bookkeeping) into the spec's directory and,
     when the spec says [resume], restarts from the last snapshot — see
     {!Prognosis_learner.Checkpoint}. May raise

@@ -50,4 +50,4 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
   (Adapter.create ~description:"dtls" ~reset ~step (), client)
 
 let sul ?server_config ?network ~seed () =
-  Adapter.to_sul_unrecorded (fst (create ?server_config ?network ~seed ()))
+  Adapter.to_sul (fst (create ?server_config ?network ~seed ()))

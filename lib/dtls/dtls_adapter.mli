@@ -21,6 +21,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Dtls_alphabet.symbol, Dtls_alphabet.output) Prognosis_sul.Sul.t
-(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
-    nothing is recorded in an Oracle Table; use {!create} when
-    synthesis needs the table. *)
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul}) of a fresh
+    adapter: nothing is recorded; use {!create} and
+    {!Prognosis_sul.Adapter.query} when synthesis needs the table. *)

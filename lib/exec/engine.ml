@@ -84,8 +84,7 @@ type ('i, 'o) t = {
   resume : bool;
       (* mid-word resume; off on the sequential oracle (one worker, no
          batching), which replays every miss from reset exactly like
-         [Oracle.of_sul]: its worker may be a study's recording
-         adapter, whose Oracle Table delimits queries by resets *)
+         [Oracle.of_sul] *)
   workers : ('i, 'o) worker array;
   cache : ('i, 'o) Cache.t;
   stats : stats;
@@ -643,14 +642,9 @@ let seeded_factory make ~seed ~workers =
   let wseeds = Array.map Rng.next64 (Rng.split_n (Rng.create seed) workers) in
   fun i -> make wseeds.(i)
 
-let learn ?config ?labels ?cache ?checkpoint ?algorithm ?recorded ~factory
+let learn ?(config = sequential) ?labels ?cache ?checkpoint ?algorithm ~factory
     ~inputs ~eq () =
-  let config, factory =
-    match (config, recorded) with
-    | Some (c : config), _ -> (c, factory ~workers:c.workers)
-    | None, Some sul -> (sequential, fun _ -> sul)
-    | None, None -> (sequential, factory ~workers:1)
-  in
+  let factory = factory ~workers:config.workers in
   let cache =
     match checkpoint with Some ck -> Some (Checkpoint.cache ck) | None -> cache
   in

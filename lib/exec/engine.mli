@@ -166,7 +166,6 @@ val learn :
   ?cache:('i, 'o) Prognosis_learner.Cache.t ->
   ?checkpoint:('i, 'o) Prognosis_learner.Checkpoint.session ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
-  ?recorded:('i, 'o) Prognosis_sul.Sul.t ->
   factory:(workers:int -> int -> ('i, 'o) Prognosis_sul.Sul.t) ->
   inputs:'i array ->
   eq:('i, 'o) Prognosis_learner.Oracle.equivalence ->
@@ -175,11 +174,11 @@ val learn :
 (** The learning entry point: builds the engine over
     [factory ~workers:config.workers] and runs
     {!Prognosis_learner.Learn.run_mq} on its {!membership}, with the
-    engine's {!cache_stats}. Without [config] the engine is
-    {!sequential}, and its one worker is [recorded] when given (a case
-    study's Oracle-Table-recording adapter), else [factory ~workers:1
-    0]. With [checkpoint], the session's cache replaces [cache], a
-    snapshot's engine state is thawed into the pool (a blob that does
-    not fit is ignored: only advisory robustness bookkeeping is lost)
-    and every later snapshot carries {!freeze}. Returns the engine for
-    its stats. *)
+    engine's {!cache_stats}. [config] defaults to {!sequential}, whose
+    one worker is [factory ~workers:1 0]: the default learn, every
+    [?exec] learn and every fleet session run on factory SULs, which
+    record nothing. With [checkpoint], the session's cache replaces
+    [cache], a snapshot's engine state is thawed into the pool (a blob
+    that does not fit is ignored: only advisory robustness bookkeeping
+    is lost) and every later snapshot carries {!freeze}. Returns the
+    engine for its stats. *)

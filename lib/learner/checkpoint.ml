@@ -47,23 +47,14 @@ let save ~path ~kind snapshot =
       ]
     "checkpoint.save"
     (fun () ->
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      (try
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () ->
-             output_string oc magic;
-             output_char oc '\n';
-             output_string oc kind;
-             output_char oc '\n';
-             output_string oc Sys.ocaml_version;
-             output_char oc '\n';
-             Marshal.to_channel oc snapshot [])
-       with e ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Sys.rename tmp path;
+      Prognosis_obs.Atomic_file.with_out ~path (fun oc ->
+          output_string oc magic;
+          output_char oc '\n';
+          output_string oc kind;
+          output_char oc '\n';
+          output_string oc Sys.ocaml_version;
+          output_char oc '\n';
+          Marshal.to_channel oc snapshot []);
       Metrics.inc m_saves;
       Metrics.set g_queries (float_of_int snapshot.queries);
       Metrics.set g_words (float_of_int (List.length snapshot.words));

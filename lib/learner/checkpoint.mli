@@ -11,10 +11,11 @@
     needs the cache contents (plus the query-execution engine's
     worker/quarantine bookkeeping when a pool is in use).
 
-    Snapshots are written atomically (tmp + rename), every [every] SUL
-    queries and at every learner round boundary, under a
-    kind/OCaml-version guarded header. Instrumentation reports through
-    [checkpoint.*] metrics and spans ({!Prognosis_obs}). *)
+    Snapshots are written atomically ({!Prognosis_obs.Atomic_file}:
+    unique temp file, fsync, rename), every [every] SUL queries and at
+    every learner round boundary, under a kind/OCaml-version guarded
+    header. Instrumentation reports through [checkpoint.*] metrics and
+    spans ({!Prognosis_obs}). *)
 
 (** Structured load failures, mirroring [Persist.load_error]. *)
 type error =
@@ -38,9 +39,10 @@ type ('i, 'o) snapshot = {
 
 val save : path:string -> kind:string -> ('i, 'o) snapshot -> unit
 (** Atomic write: the snapshot lands at [path] completely or not at
-    all (tmp file + rename). The header records [kind] and the OCaml
-    version (the payload is [Marshal], a local crash-recovery format —
-    portability is the model format's job, not the checkpoint's). *)
+    all ({!Prognosis_obs.Atomic_file.with_out}). The header records
+    [kind] and the OCaml version (the payload is [Marshal], a local
+    crash-recovery format — portability is the model format's job, not
+    the checkpoint's). *)
 
 val load : path:string -> kind:string -> (('i, 'o) snapshot, error) result
 

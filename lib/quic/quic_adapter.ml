@@ -76,4 +76,4 @@ let create ?profile ?client_config ?(network = Network.reliable) ~seed () =
   (Adapter.create ~description:"quic" ~reset ~step (), client)
 
 let sul ?profile ?client_config ?network ~seed () =
-  Adapter.to_sul_unrecorded (fst (create ?profile ?client_config ?network ~seed ()))
+  Adapter.to_sul (fst (create ?profile ?client_config ?network ~seed ()))

@@ -6,7 +6,8 @@
     client state cannot realize the requested symbol, nothing is sent
     and the answer is NIL — the closed-box analogue of QUIC-Tracker
     failing to build a packet it has no keys for. Every concrete packet
-    exchanged is recorded in the Oracle Table. *)
+    exchanged by a word asked through {!Prognosis_sul.Adapter.query}
+    is recorded in the Oracle Table. *)
 
 type concrete = Quic_packet.t
 
@@ -30,6 +31,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Quic_alphabet.symbol, Quic_alphabet.output) Prognosis_sul.Sul.t
-(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
-    nothing is recorded in an Oracle Table; use {!create} when
-    synthesis needs the table. *)
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul}) of a fresh
+    adapter: nothing is recorded; use {!create} and
+    {!Prognosis_sul.Adapter.query} when synthesis needs the table. *)

@@ -183,21 +183,13 @@ let default_config = { Engine.default with Engine.batch = true }
 let run ?(domains = 1) ?(config = default_config) ?library ~jobs () =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
-  (* Resident splitter forest: built (and its entry models packed)
-     once on this domain before fan-out — [Mealy.Packed.pack]
-     memoizes on the model record and is not safe to race. *)
+  (* Resident splitter forest: built once on this domain before
+     fan-out. *)
   let forest =
     if Array.exists (fun j -> j.op = Identify) jobs then
       match library with
       | None -> Error "identify jobs require a model library"
-      | Some lib -> (
-          List.iter
-            (fun (e : Library.entry) ->
-              ignore (Mealy.Packed.pack e.Library.model))
-            lib.Library.entries;
-          match Splitter.of_library lib with
-          | Ok forest -> Ok forest
-          | Error e -> Error e)
+      | Some lib -> Splitter.of_library lib
     else Ok []
   in
   match forest with

@@ -3,10 +3,11 @@
     An Adapter owns the translation pair (α, γ): it concretizes
     abstract learner symbols into real packets via a reference
     implementation, transmits them to the target Implementation,
-    abstracts the responses, and records every exchange in the Oracle
-    Table. The five instrumentation properties of §3.2 are enforced by
-    the protocol-specific constructors (see [Prognosis_tcp.Tcp_adapter]
-    and [Prognosis_quic.Quic_adapter]); this module captures what they
+    abstracts the responses, and records the exchanges of the words
+    asked through {!query} in the Oracle Table. The five
+    instrumentation properties of §3.2 are enforced by the
+    protocol-specific constructors (see [Prognosis_tcp.Tcp_adapter] and
+    [Prognosis_quic.Quic_adapter]); this module captures what they
     share. *)
 
 type ('ai, 'ao, 'ci, 'co) t = {
@@ -29,24 +30,15 @@ val create :
 
 val query : ('ai, 'ao, 'ci, 'co) t -> 'ai list -> 'ao list
 (** Resets, runs a whole abstract input word and records the resulting
-    abstract/concrete trace pair in the Oracle Table. *)
+    abstract/concrete trace pair in the Oracle Table. This is the only
+    writer of the table: it holds exactly the words asked through
+    [query] (the witness queries synthesis and the trace checks ask),
+    never the learner's membership queries. *)
 
 val to_sul : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
-(** View for the learner. Concrete packets stay hidden, but each query
-    (delimited by resets) is still recorded in the Oracle Table when it
-    completes, so synthesis can mine it later. The study pipelines
-    ([Tcp_study], [Quic_study], [Dtls_study]) learn through this view
-    by default, as the one worker of a sequential engine (which never
-    resumes mid-word, so every query is delimited by a reset): they
-    return the adapter, so its table is readable and feeds
-    synthesis. *)
-
-val to_sul_unrecorded : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
-(** The same view without the Oracle Table: each step runs the
-    adapter's [step] and drops the concrete packets, and nothing is
-    recorded. Answers are those of {!to_sul}. The protocol [sul]
-    constructors ([Tcp_adapter.sul], [Dtls_adapter.sul],
-    [Quic_adapter.sul], [Tcp_client_study.sul]) use it: they keep no
-    handle on the adapter, so a table they filled could never be read.
-    Their SULs back the engine workers, fleet sessions and
-    identification. *)
+(** The learner's view: each step runs the adapter's [step] and drops
+    the concrete packets; nothing is recorded. Answers are those of
+    {!query}. The protocol [sul] constructors ([Tcp_adapter.sul],
+    [Dtls_adapter.sul], [Quic_adapter.sul], [Tcp_client_study.sul])
+    are this view of a fresh adapter; they back every learn (the
+    engine's workers), fleet session and identification. *)

@@ -1,9 +1,11 @@
 (** The Oracle Table: the cache of abstract↔concrete trace pairs
-    accumulated while the Adapter answers learner queries (paper §3.2,
-    property 4).
+    accumulated while the Adapter answers queries asked through
+    [Adapter.query] (paper §3.2, property 4) — the witness words of
+    synthesis and the trace checks, not the learner's membership
+    queries.
 
-    Each entry records one complete query: the abstract input word the
-    learner sent, the abstract output word it got back, and — aligned
+    Each entry records one complete query: the abstract input word
+    sent, the abstract output word it got back, and — aligned
     per step — the concrete packets the Adapter actually exchanged with
     the Implementation. The synthesis module (paper §4.3) mines these
     entries to recover register behaviours (sequence numbers,

@@ -56,4 +56,4 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
   Adapter.create ~description:"tcp" ~reset ~step ()
 
 let sul ?server_config ?network ~seed () =
-  Adapter.to_sul_unrecorded (create ?server_config ?network ~seed ())
+  Adapter.to_sul (create ?server_config ?network ~seed ())

@@ -6,8 +6,9 @@
     client, encodes it to the wire, transmits it over the (possibly
     faulty) channel, lets the server process the bytes, delivers the
     responses back through the channel, absorbs them into the client
-    state and abstracts them for the learner. Every exchange is
-    recorded in the Oracle Table for later synthesis. *)
+    state and abstracts them for the learner. The exchanges of words
+    asked through {!Prognosis_sul.Adapter.query} are recorded in the
+    Oracle Table for later synthesis. *)
 
 type concrete = Tcp_wire.segment
 
@@ -24,6 +25,6 @@ val sul :
   seed:int64 ->
   unit ->
   (Tcp_alphabet.symbol, Tcp_alphabet.output) Prognosis_sul.Sul.t
-(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
-    the adapter is not exposed, so nothing is recorded in its Oracle
-    Table; use {!create} when synthesis needs the table. *)
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul}) of a fresh
+    adapter: nothing is recorded; use {!create} and
+    {!Prognosis_sul.Adapter.query} when synthesis needs the table. *)

@@ -187,4 +187,4 @@ let adapter ?(network = Network.reliable) ~seed () =
   in
   Adapter.create ~description:"tcp-client" ~reset ~step ()
 
-let sul ?network ~seed () = Adapter.to_sul_unrecorded (adapter ?network ~seed ())
+let sul ?network ~seed () = Adapter.to_sul (adapter ?network ~seed ())

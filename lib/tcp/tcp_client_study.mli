@@ -49,6 +49,6 @@ val sul :
   seed:int64 ->
   unit ->
   (symbol, output) Prognosis_sul.Sul.t
-(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul_unrecorded}):
-    nothing is recorded in an Oracle Table; use {!adapter} when
-    synthesis needs the table. *)
+(** Learner-facing view ({!Prognosis_sul.Adapter.to_sul}) of a fresh
+    {!adapter}: nothing is recorded; use {!adapter} and
+    {!Prognosis_sul.Adapter.query} when synthesis needs the table. *)

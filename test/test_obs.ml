@@ -401,7 +401,12 @@ let ring_dump_is_parseable () =
         rest
   | [] -> Alcotest.fail "empty flight dump");
   (* dumping is atomic: no .tmp litter *)
-  Alcotest.(check bool) "no temp litter" false (Sys.file_exists (path ^ ".tmp"))
+  let base = Filename.basename path ^ "." in
+  Alcotest.(check bool) "no temp litter" false
+    (Array.exists
+       (fun f ->
+         String.starts_with ~prefix:base f && Filename.check_suffix f ".tmp")
+       (Sys.readdir (Filename.dirname path)))
 
 (* --- span tree --- *)
 
@@ -701,6 +706,43 @@ let report_json_folds_metrics () =
         r.Tcp_study.report.Report.cache_hits hits
   | _ -> Alcotest.fail "no cache.hits counter"
 
+(* --- atomic file writes --- *)
+
+(* Two domains rewrite one path 500 times each, every write a distinct
+   complete payload. No write may raise, the survivor must be one
+   writer's whole payload, and no temp file may be left behind. *)
+let atomic_file_writers_race () =
+  let dir = Filename.temp_file "prognosis-atomic" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "report.json" in
+  let payload d i = String.make (4096 + i) (Char.chr (Char.code 'a' + d)) in
+  let writer d () =
+    let raised = ref 0 in
+    for i = 0 to 499 do
+      try Prognosis_obs.Atomic_file.write ~path (payload d i)
+      with Sys_error _ -> incr raised
+    done;
+    !raised
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (writer d)) in
+  let raised = List.fold_left (fun n d -> n + Domain.join d) 0 domains in
+  Alcotest.(check int) "writes that raised" 0 raised;
+  let ic = open_in_bin path in
+  let got = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let whole =
+    String.length got >= 4096
+    && List.exists
+         (fun d -> got = payload d (String.length got - 4096))
+         [ 0; 1 ]
+  in
+  Alcotest.(check bool) "one writer's complete payload" true whole;
+  Alcotest.(check (list string)) "no temp files" [ "report.json" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.remove path;
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "obs"
     [
@@ -739,6 +781,11 @@ let () =
           Alcotest.test_case "span tree" `Quick span_tree_analysis;
           Alcotest.test_case "orphan roots" `Quick span_tree_orphans_become_roots;
           Alcotest.test_case "report diff gate" `Quick report_diff_gate;
+        ] );
+      ( "atomic-file",
+        [
+          Alcotest.test_case "2-domain writers race" `Quick
+            atomic_file_writers_race;
         ] );
       ( "instrumentation",
         [

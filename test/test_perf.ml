@@ -1,14 +1,15 @@
 (* The compiled-hot-path invariants behind the CI perf gate: packed
-   stepping agrees with the functional reference on arbitrary machines,
-   the compacted trie cache round-trips through the checkpoint format
-   byte-identically and fills from several domains exactly as from
-   one, and the sharded equivalence oracle produces the
-   same model as a sequential run. The lean SUL stack is pinned too:
-   DTLS record protection matches known answers, the non-recording
-   adapter view answers as the recording one does, QUIC outputs render
-   to the same strings, and every QUIC datagram and IPv4 datagram is
-   byte-identical to known answers. These run under the @perf alias,
-   next to the counter gate in CI. *)
+   stepping agrees with the functional reference on arbitrary machines
+   and packing races safely across domains, the compacted trie cache
+   round-trips through the checkpoint format byte-identically and
+   fills from several domains exactly as from one, and the sharded
+   equivalence oracle produces the same model as a sequential run. The
+   lean SUL stack is pinned too: DTLS record protection matches known
+   answers, every protocol's learner view answers as its adapter's own
+   queries do, learning leaves the study adapter's Oracle Table empty,
+   QUIC outputs render to the same strings, and every QUIC datagram and
+   IPv4 datagram is byte-identical to known answers. These run under
+   the @perf alias, next to the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
 module Cache = Prognosis_learner.Cache
@@ -64,6 +65,45 @@ let prop_packed_run_from =
             (fun w' -> Mealy.run_from m s w' = Mealy.run_reference_from m s w')
             words)
         words)
+
+(* --- packing races safely across domains --- *)
+
+(* Four domains released together pack one fresh machine: all must get
+   the physically same packed value, and a [map_outputs] copy of it
+   must pack afresh (its own memo cell, its own outputs). *)
+let pack_race_four_domains () =
+  let size = 400 and k = 16 in
+  for round = 1 to 20 do
+    let m =
+      Mealy.make ~size ~initial:0 ~inputs:(Array.init k Fun.id)
+        ~delta:
+          (Array.init size (fun s ->
+               Array.init k (fun i -> (s + i + round) mod size)))
+        ~lambda:
+          (Array.init size (fun s -> Array.init k (fun i -> s * i mod 7)))
+    in
+    let ready = Atomic.make 0 in
+    let packer () =
+      Atomic.incr ready;
+      while Atomic.get ready < 4 do
+        Domain.cpu_relax ()
+      done;
+      Mealy.Packed.pack m
+    in
+    let packs =
+      List.map Domain.join (List.init 4 (fun _ -> Domain.spawn packer))
+    in
+    let first = Mealy.Packed.pack m in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: one packed value" round)
+      true
+      (List.for_all (fun p -> p == first) packs);
+    let copy = Mealy.map_outputs (fun o -> o + 1) m in
+    Alcotest.(check bool) "map_outputs copy packs afresh" true
+      (Mealy.Packed.pack copy != first
+      && Mealy.run copy [ 1; 2 ]
+         = List.map (fun o -> o + 1) (Mealy.run m [ 1; 2 ]))
+  done
 
 (* --- compacted trie preserves the checkpoint dump format --- *)
 
@@ -352,7 +392,7 @@ let prop_dtls_seal_open =
           && C.open_ t other ~epoch ~seq sealed = None
           && C.open_ t dir ~epoch ~seq (Bytes.to_string flipped) = None)
 
-(* --- the non-recording adapter view answers as the recording one --- *)
+(* --- the learner view answers as the adapter's own queries --- *)
 
 let gen_seed_and_words alphabet =
   QCheck2.Gen.(
@@ -363,46 +403,54 @@ let gen_seed_and_words alphabet =
             (map (Array.get alphabet)
                (int_range 0 (Array.length alphabet - 1))))))
 
-let prop_unrecorded_view ~name ~count ~alphabet ~unrecorded ~recorded =
+(* [*.sul] is [Adapter.to_sul] of a fresh adapter; word by word it must
+   answer as [Adapter.query] on an adapter built with the same seed. *)
+let prop_unrecorded_view ~name ~count ~alphabet ~sul ~create =
   QCheck2.Test.make ~count
-    ~name:(name ^ ": *.sul answers as Adapter.to_sul (create)")
+    ~name:(name ^ ": *.sul answers as Adapter.to_sul, i.e. as Adapter.query")
     (gen_seed_and_words alphabet)
     (fun (seed, words) ->
-      let a = unrecorded seed and b = recorded seed in
-      List.for_all (fun w -> Sul.query a w = Sul.query b w) words)
+      let s = sul seed and a = create seed in
+      List.for_all (fun w -> Sul.query s w = Adapter.query a w) words)
 
 let prop_unrecorded_tcp =
   prop_unrecorded_view ~name:"tcp" ~count:60
     ~alphabet:Prognosis_tcp.Tcp_alphabet.all
-    ~unrecorded:(fun seed -> Prognosis_tcp.Tcp_adapter.sul ~seed ())
-    ~recorded:(fun seed ->
-      Adapter.to_sul (Prognosis_tcp.Tcp_adapter.create ~seed ()))
+    ~sul:(fun seed -> Prognosis_tcp.Tcp_adapter.sul ~seed ())
+    ~create:(fun seed -> Prognosis_tcp.Tcp_adapter.create ~seed ())
 
 let prop_unrecorded_tcp_client =
   prop_unrecorded_view ~name:"tcp-client" ~count:60
     ~alphabet:Prognosis_tcp.Tcp_client_study.all
-    ~unrecorded:(fun seed -> Prognosis_tcp.Tcp_client_study.sul ~seed ())
-    ~recorded:(fun seed ->
-      Adapter.to_sul (Prognosis_tcp.Tcp_client_study.adapter ~seed ()))
+    ~sul:(fun seed -> Prognosis_tcp.Tcp_client_study.sul ~seed ())
+    ~create:(fun seed -> Prognosis_tcp.Tcp_client_study.adapter ~seed ())
 
 let prop_unrecorded_dtls =
   prop_unrecorded_view ~name:"dtls" ~count:60
     ~alphabet:Prognosis_dtls.Dtls_alphabet.all
-    ~unrecorded:(fun seed -> Prognosis_dtls.Dtls_adapter.sul ~seed ())
-    ~recorded:(fun seed ->
-      Adapter.to_sul (fst (Prognosis_dtls.Dtls_adapter.create ~seed ())))
+    ~sul:(fun seed -> Prognosis_dtls.Dtls_adapter.sul ~seed ())
+    ~create:(fun seed -> fst (Prognosis_dtls.Dtls_adapter.create ~seed ()))
 
 let prop_unrecorded_quic =
   prop_unrecorded_view ~name:"quic" ~count:40 ~alphabet:Quic_alphabet.all
-    ~unrecorded:(fun seed -> Prognosis_quic.Quic_adapter.sul ~seed ())
-    ~recorded:(fun seed ->
-      Adapter.to_sul (fst (Prognosis_quic.Quic_adapter.create ~seed ())))
+    ~sul:(fun seed -> Prognosis_quic.Quic_adapter.sul ~seed ())
+    ~create:(fun seed -> fst (Prognosis_quic.Quic_adapter.create ~seed ()))
 
-(* The study path still fills the Oracle Table it hands to synthesis. *)
-let study_table_recorded () =
+(* Learning asks through factory SULs only: the study's adapter comes
+   back with an empty Oracle Table, which then holds exactly the
+   witness words asked through it. *)
+let learning_records_nothing () =
   let r = Tcp_study.learn ~seed:1L () in
-  Alcotest.(check bool) "result.adapter.table is non-empty" true
-    (Prognosis_sul.Oracle_table.size r.Tcp_study.adapter.Adapter.table > 0)
+  let size () =
+    Prognosis_sul.Oracle_table.size r.Tcp_study.adapter.Adapter.table
+  in
+  Alcotest.(check int) "empty after learning" 0 (size ());
+  let words =
+    Prognosis_tcp.Tcp_alphabet.
+      [ [ Syn ]; [ Syn; Ack ]; [ Syn; Ack; Fin_ack ]; [ Ack; Rst ] ]
+  in
+  ignore (Tcp_study.witness_traces r words);
+  Alcotest.(check int) "one entry per witness word" 4 (size ())
 
 (* --- QUIC outputs render to the same strings without Printf --- *)
 
@@ -623,6 +671,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_packed_equals_reference;
           QCheck_alcotest.to_alcotest prop_packed_run_from;
+          Alcotest.test_case "4-domain pack race" `Quick pack_race_four_domains;
         ] );
       ( "trie",
         [
@@ -652,8 +701,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_unrecorded_tcp_client;
           QCheck_alcotest.to_alcotest prop_unrecorded_dtls;
           QCheck_alcotest.to_alcotest prop_unrecorded_quic;
-          Alcotest.test_case "study path keeps its Oracle Table" `Quick
-            study_table_recorded;
+          Alcotest.test_case "learning records nothing" `Quick
+            learning_records_nothing;
         ] );
       ( "quic-output",
         [
