@@ -496,7 +496,7 @@ let a4_passive_hybrid () =
       else Passive.random_sample ~rng ~inputs ~words:log_words ~max_len:8 log_sul
     in
     let raw = Oracle.of_sul (Prognosis_tcp.Tcp_adapter.sul ~seed:31L ()) in
-    let cache = Cache.create () in
+    let cache = Cache.create ~inputs () in
     Passive.preload cache logs;
     let mq = Cache.wrap cache raw in
     let _model, _ =
@@ -640,27 +640,30 @@ let a7_exec () =
 let a9_packed () =
   section "A9" "Ablation: packed automaton stepping vs functional interpreter";
   let m = (Lazy.force quic_quiche).Quic_study.model in
+  (* the packed stepper runs the suite's position words, the
+     functional interpreter the same words as symbols *)
   let suite = Testing.w_method ~extra_states:1 m in
+  let symbol_suite = List.map (Mealy.decode m) suite in
+  let p = Mealy.pack m in
   let words = List.length suite in
   let symbols = List.fold_left (fun acc w -> acc + List.length w) 0 suite in
   (* observational equality first: the packed stepper must agree with
      the reference interpreter on every suite word *)
-  List.iter
-    (fun w ->
-      if Mealy.run m w <> Mealy.run_reference m w then
+  List.iter2
+    (fun w sw ->
+      if Mealy.Packed.run p w <> Mealy.run_reference m sw then
         failwith "A9: packed stepping diverges from the functional interpreter")
-    suite;
-  ignore (Mealy.pack m);
-  let time reps f =
+    suite symbol_suite;
+  let time reps f suite =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      List.iter (fun w -> ignore (f m w)) suite
+      List.iter (fun w -> ignore (f w)) suite
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
   let reps = 40 in
-  let packed = time reps Mealy.run in
-  let functional = time reps Mealy.run_reference in
+  let packed = time reps (Mealy.Packed.run p) suite in
+  let functional = time reps (Mealy.run_reference m) symbol_suite in
   print_table
     [ "stepper"; "suite time"; "per symbol" ]
     [
@@ -690,7 +693,7 @@ let a8_loss_robustness () =
         ~network:(Prognosis_sul.Network.lossy loss) ~seed:7L ()
     in
     let mq =
-      Prognosis_learner.Oracle.of_fun
+      Prognosis_learner.Oracle.of_fun ~inputs:sul.Prognosis_sul.Sul.inputs
         (Prognosis_sul.Nondet.modal_oracle ~runs sul)
     in
     match
@@ -885,7 +888,8 @@ let x2_quantitative_models () =
   in
   (* 1. learn the modal skeleton of the stochastic implementation. *)
   let mq =
-    Prognosis_learner.Oracle.of_fun (Nondet.modal_oracle ~runs:41 sul)
+    Prognosis_learner.Oracle.of_fun ~inputs:sul.Prognosis_sul.Sul.inputs
+      (Nondet.modal_oracle ~runs:41 sul)
   in
   let rng = Prognosis_sul.Rng.create 15L in
   let skeleton =
@@ -957,9 +961,8 @@ let tcp_string_model m =
     ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string m
 
 let tcp_string_sul ?server_config seed () =
-  Prognosis_sul.Sul.strings ~symbols:Prognosis_tcp.Tcp_alphabet.all
-    ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
-    ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
+  Prognosis_sul.Sul.relabel ~input:Prognosis_tcp.Tcp_alphabet.to_string
+    ~output:Prognosis_tcp.Tcp_alphabet.output_to_string
     (Prognosis_tcp.Tcp_adapter.sul ?server_config ~seed ())
 
 let f1_endpoints () =
@@ -969,9 +972,8 @@ let f1_endpoints () =
       ~output_to_string:Prognosis_quic.Quic_alphabet.output_to_string m
   in
   let quic_sul profile seed () =
-    Prognosis_sul.Sul.strings ~symbols:Prognosis_quic.Quic_alphabet.all
-      ~to_string:Prognosis_quic.Quic_alphabet.to_string
-      ~output_to_string:Prognosis_quic.Quic_alphabet.output_to_string
+    Prognosis_sul.Sul.relabel ~input:Prognosis_quic.Quic_alphabet.to_string
+      ~output:Prognosis_quic.Quic_alphabet.output_to_string
       (Prognosis_quic.Quic_adapter.sul ~profile ~seed ())
   in
   let quic name profile (r : Quic_study.result) seed =
@@ -1003,9 +1005,9 @@ let f1_endpoints () =
       f_learn_queries = dtls.Dtls_study.report.Report.membership_queries;
       f_sul =
         (fun () ->
-          Prognosis_sul.Sul.strings ~symbols:Prognosis_dtls.Dtls_alphabet.all
-            ~to_string:Prognosis_dtls.Dtls_alphabet.to_string
-            ~output_to_string:Prognosis_dtls.Dtls_alphabet.output_to_string
+          Prognosis_sul.Sul.relabel
+            ~input:Prognosis_dtls.Dtls_alphabet.to_string
+            ~output:Prognosis_dtls.Dtls_alphabet.output_to_string
             (Prognosis_dtls.Dtls_adapter.sul ~seed:42L ()));
     };
     quic "quic:quiche-like" Profile.quiche_like (Lazy.force quic_quiche) 43L;
@@ -1235,10 +1237,9 @@ let f2_fleet () =
         (fun ~seed ~workers ->
           Prognosis_exec.Engine.seeded_factory
             (fun wseed ->
-              Prognosis_sul.Sul.strings
-                ~symbols:Prognosis_tcp.Tcp_alphabet.all
-                ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
-                ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
+              Prognosis_sul.Sul.relabel
+                ~input:Prognosis_tcp.Tcp_alphabet.to_string
+                ~output:Prognosis_tcp.Tcp_alphabet.output_to_string
                 (Prognosis_tcp.Tcp_adapter.sul
                    ~network:
                      {
@@ -1361,12 +1362,15 @@ let benchmarks () =
           (Staged.stage
              (let m = (Lazy.force quic_tolerant).Quic_study.model in
               let suite = Testing.w_method ~extra_states:1 m in
-              ignore (Mealy.pack m);
-              fun () -> List.iter (fun w -> ignore (Mealy.run m w)) suite));
+              let p = Mealy.pack m in
+              fun () ->
+                List.iter (fun w -> ignore (Mealy.Packed.run p w)) suite));
         Test.make ~name:"functional-stepping"
           (Staged.stage
              (let m = (Lazy.force quic_tolerant).Quic_study.model in
-              let suite = Testing.w_method ~extra_states:1 m in
+              let suite =
+                List.map (Mealy.decode m) (Testing.w_method ~extra_states:1 m)
+              in
               fun () ->
                 List.iter (fun w -> ignore (Mealy.run_reference m w)) suite));
         Test.make ~name:"dtls-learning"

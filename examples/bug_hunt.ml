@@ -60,7 +60,7 @@ let quantify profile =
   Format.printf "--- stochastic model of %s ---@." profile.Profile.name;
   let sul = Prognosis_quic.Quic_adapter.sul ~profile ~seed:4242L () in
   let mq =
-    Prognosis_learner.Oracle.of_fun
+    Prognosis_learner.Oracle.of_fun ~inputs:sul.Prognosis_sul.Sul.inputs
       (Prognosis_sul.Nondet.modal_oracle ~runs:41 sul)
   in
   let rng = Prognosis_sul.Rng.create 5L in

@@ -21,11 +21,14 @@ let collect ?(max_mismatches = 10) ~suite ~run_a ~run_b () =
   loop [] 0 suite
 
 let run ?max_mismatches ~suite a b =
-  collect ?max_mismatches ~suite ~run_a:(Sul.query a) ~run_b:(Sul.query b) ()
+  collect ?max_mismatches ~suite ~run_a:(Sul.run a) ~run_b:(Sul.run b) ()
 
 let model_guided ?(extra_states = 1) ?max_mismatches ~model sul =
-  let suite = Testing.w_method ~extra_states model in
-  collect ?max_mismatches ~suite ~run_a:(Mealy.run model) ~run_b:(Sul.query sul) ()
+  let suite =
+    List.map (Mealy.decode model) (Testing.w_method ~extra_states model)
+  in
+  collect ?max_mismatches ~suite ~run_a:(Mealy.run model) ~run_b:(Sul.run sul)
+    ()
 
 let suite_size ?(extra_states = 1) model =
   List.length (Testing.w_method ~extra_states model)

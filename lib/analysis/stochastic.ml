@@ -19,7 +19,10 @@ let estimate ?(samples_per_transition = 30) ~skeleton ~sul () =
   let reachable = Mealy.reachable skeleton in
   let inputs = Mealy.inputs skeleton in
   let sample state i =
-    let word = access.(state) @ [ inputs.(i) ] in
+    let word =
+      Prognosis_sul.Sul.encode sul
+        (Mealy.decode skeleton (access.(state) @ [ i ]))
+    in
     let tally = Hashtbl.create 4 in
     for _ = 1 to samples_per_transition do
       let answer = Prognosis_sul.Sul.query sul word in

@@ -24,8 +24,6 @@ and ('i, 'o) packed = {
   p_next : int array; (* state transition: p_next.((s * p_alpha) + i) *)
   p_out : int array; (* output id per (state, input) pair *)
   p_outputs : 'o array; (* interned output table, id -> symbol *)
-  p_inputs : 'i array;
-  p_index : ('i, int) Hashtbl.t; (* input symbol -> alphabet position *)
 }
 
 let m_packed_steps = Metrics.counter Metrics.default "packed.steps"
@@ -73,17 +71,21 @@ let inputs m = m.inputs
 let alphabet_size m = Array.length m.inputs
 let transitions m = m.size * alphabet_size m
 
-let input_index m x =
-  let n = Array.length m.inputs in
+let position inputs x =
+  let n = Array.length inputs in
   let rec loop i =
     if i >= n then raise Not_found
-    else if m.inputs.(i) = x then i
+    else if inputs.(i) = x then i
     else loop (i + 1)
   in
   loop 0
 
+let input_index m x = position m.inputs x
+
 let step_idx m s i = (m.delta.(s).(i), m.lambda.(s).(i))
 let step m s x = step_idx m s (input_index m x)
+let encode m word = List.map (input_index m) word
+let decode m word = List.map (fun i -> m.inputs.(i)) word
 
 (* --- the compiled hot path --- *)
 
@@ -117,8 +119,6 @@ module Packed = struct
       done
     done;
     let outputs = Array.of_list (List.rev !out_list) in
-    let index = Hashtbl.create (2 * n) in
-    Array.iteri (fun i x -> if not (Hashtbl.mem index x) then Hashtbl.add index x i) m.inputs;
     Metrics.inc m_packs;
     {
       p_size = m.size;
@@ -127,8 +127,6 @@ module Packed = struct
       p_next = next;
       p_out = out;
       p_outputs = outputs;
-      p_inputs = m.inputs;
-      p_index = index;
     }
 
   (* Memoized: repeated packs of the same machine are one atomic read.
@@ -149,21 +147,17 @@ module Packed = struct
   let next p s i = Array.unsafe_get p.p_next ((s * p.p_alpha) + i)
   let out_id p s i = Array.unsafe_get p.p_out ((s * p.p_alpha) + i)
   let output p id = p.p_outputs.(id)
-  let input_index p x = Hashtbl.find_opt p.p_index x
-
+  (* Words are alphabet positions: a step is two array loads. *)
   let run_from p s0 word =
     let s = ref s0 and n = ref 0 in
     let outs =
       List.map
-        (fun x ->
-          match Hashtbl.find_opt p.p_index x with
-          | None -> raise Not_found
-          | Some i ->
-              let base = (!s * p.p_alpha) + i in
-              let o = Array.unsafe_get p.p_out base in
-              s := Array.unsafe_get p.p_next base;
-              incr n;
-              Array.unsafe_get p.p_outputs o)
+        (fun i ->
+          let base = (!s * p.p_alpha) + i in
+          let o = Array.unsafe_get p.p_out base in
+          s := Array.unsafe_get p.p_next base;
+          incr n;
+          Array.unsafe_get p.p_outputs o)
         word
     in
     Metrics.inc ~by:!n m_packed_steps;
@@ -174,20 +168,17 @@ module Packed = struct
   let state_after_from p s0 word =
     let s = ref s0 and n = ref 0 in
     List.iter
-      (fun x ->
-        match Hashtbl.find_opt p.p_index x with
-        | None -> raise Not_found
-        | Some i ->
-            s := Array.unsafe_get p.p_next ((!s * p.p_alpha) + i);
-            incr n)
+      (fun i ->
+        s := Array.unsafe_get p.p_next ((!s * p.p_alpha) + i);
+        incr n)
       word;
     Metrics.inc ~by:!n m_packed_steps;
     !s
 
   let state_after p word = state_after_from p p.p_initial word
 
-  (* Pure id-level stepping over pre-interned words: the form the A9
-     ablation and the micro-benchmarks drive. *)
+  (* Stepping over an array word, returning output ids: the
+     allocation-light loop the characterizing-set cover check drives. *)
   let run_ids p s0 word_ids =
     let len = Array.length word_ids in
     let out = Array.make len 0 in
@@ -199,22 +190,15 @@ module Packed = struct
     done;
     Metrics.inc ~by:len m_packed_steps;
     out
-
-  let intern_word p word =
-    Array.of_list
-      (List.map
-         (fun x ->
-           match Hashtbl.find_opt p.p_index x with
-           | Some i -> i
-           | None -> raise Not_found)
-         word)
 end
 
 let pack = Packed.pack
 
-let run_from m s word = Packed.run_from (pack m) s word
+(* Symbol words are encoded by a linear alphabet scan: these are the
+   entry points of analyses, the CLI and tests, never of learning. *)
+let run_from m s word = Packed.run_from (pack m) s (encode m word)
 let run m word = run_from m m.initial word
-let state_after m word = Packed.state_after (pack m) word
+let state_after m word = Packed.state_after (pack m) (encode m word)
 
 (* Functional reference stepping, bypassing the packed form: the
    differential baseline the QCheck observational-equality property and
@@ -422,15 +406,15 @@ let product_bfs_packed pa pb =
       if pq = start && parent.(pq) < 0 then acc
       else
         let enc = parent.(pq) in
-        path (pa.p_inputs.(enc mod n) :: acc) (enc / n)
+        path ((enc mod n) :: acc) (enc / n)
     in
-    Some (path [ pa.p_inputs.(!result_i) ] !result)
+    Some (path [ !result_i ] !result)
   end
 
 let equivalent a b =
   if not (same_alphabet a b) then
     invalid_arg "Mealy.equivalent: machines have different alphabets";
-  product_bfs_packed (pack a) (pack b)
+  Option.map (decode a) (product_bfs_packed (pack a) (pack b))
 
 let access_words m =
   let words = Array.make m.size [] in
@@ -444,7 +428,7 @@ let access_words m =
       (fun i s' ->
         if not seen.(s') then begin
           seen.(s') <- true;
-          words.(s') <- words.(s) @ [ m.inputs.(i) ];
+          words.(s') <- words.(s) @ [ i ];
           Queue.add s' queue
         end)
       m.delta.(s)
@@ -501,16 +485,16 @@ let distinguishing_word m p q =
       if pq2 = start && parent.(pq2) < 0 then acc
       else
         let enc = parent.(pq2) in
-        path (pm.p_inputs.(enc mod n) :: acc) (enc / n)
+        path ((enc mod n) :: acc) (enc / n)
     in
-    Some (path [ pm.p_inputs.(!result_i) ] !result)
+    Some (path [ !result_i ] !result)
   end
 
 let characterizing_set m =
   let pm = pack m in
   let words = ref [] in
-  (* Words are kept pre-interned alongside so the cover check steps
-     packed ids instead of re-hashing symbols per pair. *)
+  (* Words are kept as arrays alongside, for the cover check's
+     [run_ids]. *)
   let interned = ref [] in
   let covered p q =
     List.exists
@@ -523,7 +507,7 @@ let characterizing_set m =
         match distinguishing_word m p q with
         | Some w ->
             words := w :: !words;
-            interned := Packed.intern_word pm w :: !interned
+            interned := Array.of_list w :: !interned
         | None -> ()
     done
   done;

@@ -4,6 +4,14 @@
     array of symbols. All machines handled by Prognosis are total: every
     state has a transition for every input symbol.
 
+    Two word forms coexist. A {e symbol word} (['i list]) is what
+    analyses, the CLI and tests write; {!run}, {!run_from},
+    {!state_after} and {!equivalent} take or return one. A {e position
+    word} ([int list]) names each input by its index in {!inputs}; the
+    learner, the caches, test-suite generation and identification
+    work only in positions, so no step hashes or compares a symbol.
+    {!encode} and {!decode} convert between the two.
+
     Machines carry a lazily-built {e packed} form (see {!Packed}): flat
     int transition/output tables with O(1) array-indexed stepping. The
     word-running entry points ({!run}, {!run_from}, {!state_after}),
@@ -51,6 +59,11 @@ val alphabet_size : ('i, 'o) t -> int
 val transitions : ('i, 'o) t -> int
 (** Total number of transitions, i.e. [size * alphabet_size]. *)
 
+val position : 'i array -> 'i -> int
+(** [position inputs x] is the index of [x] in [inputs] (linear scan,
+    structural equality).
+    @raise Not_found if [x] is not in [inputs]. *)
+
 val input_index : ('i, 'o) t -> 'i -> int
 (** Position of a symbol in the input alphabet.
     @raise Not_found if the symbol is not in the alphabet. *)
@@ -61,8 +74,15 @@ val step_idx : ('i, 'o) t -> int -> int -> int * 'o
 
 val step : ('i, 'o) t -> int -> 'i -> int * 'o
 
+val encode : ('i, 'o) t -> 'i list -> int list
+(** The position word of a symbol word (linear alphabet scan).
+    @raise Not_found if a symbol is not in the alphabet. *)
+
+val decode : ('i, 'o) t -> int list -> 'i list
+(** The symbol word of a position word. *)
+
 val run : ('i, 'o) t -> 'i list -> 'o list
-(** Output word produced from the initial state. Executes on the
+(** Output word produced from the initial state: {!encode}, then the
     memoized packed form ({!Packed}).
     @raise Not_found if a symbol is not in the alphabet. *)
 
@@ -78,9 +98,10 @@ val run_reference : ('i, 'o) t -> 'i list -> 'o list
 val run_reference_from : ('i, 'o) t -> int -> 'i list -> 'o list
 
 (** Packed (compiled) machines: transitions and outputs frozen into
-    flat int arrays indexed by [(state * alphabet_size) + input_index],
-    with outputs interned into a dense table. Stepping is two array
-    loads — no per-step allocation or polymorphic comparison. Build
+    flat int arrays indexed by [(state * alphabet_size) + position],
+    with outputs interned into a dense table. Words are position words,
+    so stepping is two array loads — no hashing, no per-step
+    allocation, no polymorphic comparison. Build
     cost is O(size × alphabet); {!Packed.pack} memoizes the result on
     the machine record.
 
@@ -112,22 +133,16 @@ module Packed : sig
   val output : ('i, 'o) t -> int -> 'o
   (** Resolve an interned output id to its symbol. *)
 
-  val input_index : ('i, 'o) t -> 'i -> int option
-  (** Alphabet position of a symbol, or [None] if unknown. *)
+  val run : ('i, 'o) t -> int list -> 'o list
+  (** Output word of a position word from the initial state. *)
 
-  val run : ('i, 'o) t -> 'i list -> 'o list
-  val run_from : ('i, 'o) t -> int -> 'i list -> 'o list
-  val state_after : ('i, 'o) t -> 'i list -> int
-  val state_after_from : ('i, 'o) t -> int -> 'i list -> int
-
-  val intern_word : ('i, 'o) t -> 'i list -> int array
-  (** Pre-intern a word into alphabet indices for {!run_ids}.
-      @raise Not_found if a symbol is not in the alphabet. *)
+  val run_from : ('i, 'o) t -> int -> int list -> 'o list
+  val state_after : ('i, 'o) t -> int list -> int
+  val state_after_from : ('i, 'o) t -> int -> int list -> int
 
   val run_ids : ('i, 'o) t -> int -> int array -> int array
-  (** [run_ids p s word_ids] steps a pre-interned word from state [s],
-      returning interned output ids — the zero-allocation inner loop
-      the hot paths (and the A9 ablation) drive. *)
+  (** [run_ids p s word] steps a position word given as an array from
+      state [s], returning interned output ids. *)
 end
 
 val pack : ('i, 'o) t -> ('i, 'o) packed
@@ -163,19 +178,20 @@ val equivalent : ('i, 'o) t -> ('i, 'o) t -> 'i list option
     witness word is deterministic.
     @raise Invalid_argument if the alphabets differ. *)
 
-val access_words : ('i, 'o) t -> 'i list array
-(** BFS access word for each state; unreachable states map to the empty
-    word (use {!reachable} to tell them apart from the initial state). *)
+val access_words : ('i, 'o) t -> int list array
+(** BFS access position word for each state; unreachable states map to
+    the empty word (use {!reachable} to tell them apart from the
+    initial state). *)
 
-val characterizing_set : ('i, 'o) t -> 'i list list
-(** A set of input words separating every pair of inequivalent states
-    (used by W-method test generation). Never empty for machines with
-    more than one state; contains the empty word only as a fallback for
-    one-state machines. *)
+val characterizing_set : ('i, 'o) t -> int list list
+(** A set of position words separating every pair of inequivalent
+    states (used by W-method test generation). Never empty for machines
+    with more than one state; contains the empty word only as a
+    fallback for one-state machines. *)
 
-val distinguishing_word : ('i, 'o) t -> int -> int -> 'i list option
-(** Shortest input word on which two states of the same machine produce
-    different outputs, if any. *)
+val distinguishing_word : ('i, 'o) t -> int -> int -> int list option
+(** Shortest position word on which two states of the same machine
+    produce different outputs, if any. *)
 
 val count_words : alphabet:int -> max_len:int -> int
 (** Number of nonempty input words of length ≤ [max_len] over an

@@ -5,26 +5,29 @@
     during learning and to quantify the trace reduction reported in the
     paper (§6.2.2): exhaustive exploration needs Σ_{k≤10} |Σ|^k traces,
     while a conformance suite derived from the learned model needs only
-    on the order of a thousand. *)
+    on the order of a thousand.
 
-val state_cover : ('i, 'o) Mealy.t -> 'i list list
+    Suites are position words (see {!Mealy}): each input is its index
+    in the machine's alphabet. *)
+
+val state_cover : ('i, 'o) Mealy.t -> int list list
 (** One access word per reachable state (the empty word for the initial
     state). *)
 
-val transition_cover : ('i, 'o) Mealy.t -> 'i list list
+val transition_cover : ('i, 'o) Mealy.t -> int list list
 (** Access words for every transition of every reachable state. *)
 
-val middle_words : 'i array -> int -> 'i list list
-(** [middle_words alphabet k] is all words of length ≤ [k] (including
-    the empty word) over the alphabet. *)
+val middle_words : int -> int -> int list list
+(** [middle_words n k] is all position words of length ≤ [k]
+    (including the empty word) over an alphabet of [n] symbols. *)
 
-val w_method : ?extra_states:int -> ('i, 'o) Mealy.t -> 'i list list
+val w_method : ?extra_states:int -> ('i, 'o) Mealy.t -> int list list
 (** The W-method suite [P · Σ^{≤e} · W] where [P] is the transition
     cover, [e = extra_states] (default 0) and [W] the characterizing
     set. Words are deduplicated; prefixes of retained words are not
     removed. *)
 
-val wp_method : ?extra_states:int -> ('i, 'o) Mealy.t -> 'i list list
+val wp_method : ?extra_states:int -> ('i, 'o) Mealy.t -> int list list
 (** The Wp-method suite: like the W-method but phase two uses
     state-local identification sets, producing smaller suites. *)
 

@@ -58,7 +58,10 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
   let adapter, client = Prognosis_dtls.Dtls_adapter.create ?server_config ~seed () in
   let result, engine =
     Engine.learn ?config:exec ~algorithm
-      ?checkpoint:(Option.map (Checkpoint.start ~kind:"dtls") checkpoint)
+      ?checkpoint:
+        (Option.map
+           (Checkpoint.start ~kind:"dtls" ~inputs:Alphabet.all)
+           checkpoint)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Prognosis_dtls.Dtls_adapter.sul ?server_config ~seed ())

@@ -47,7 +47,11 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
   let kind = "quic-" ^ profile.Profile.name in
   let result, engine =
     Engine.learn ?config:exec ~algorithm
-      ?checkpoint:(Option.map (Checkpoint.start ~kind) checkpoint)
+      ?checkpoint:
+        (* the adapter's SUL steps the extended alphabet *)
+        (Option.map
+           (Checkpoint.start ~kind ~inputs:Alphabet.extended)
+           checkpoint)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Quic_adapter.sul ~profile ?client_config ~seed ())

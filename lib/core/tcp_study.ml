@@ -44,7 +44,10 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
   let adapter = Tcp_adapter.create ?server_config ~seed () in
   let result, engine =
     Engine.learn ?config:exec ~algorithm
-      ?checkpoint:(Option.map (Checkpoint.start ~kind:"tcp") checkpoint)
+      ?checkpoint:
+        (Option.map
+           (Checkpoint.start ~kind:"tcp" ~inputs:Alphabet.all)
+           checkpoint)
       ~factory:
         (Engine.seeded_factory
            (fun seed -> Tcp_adapter.sul ?server_config ~seed ())

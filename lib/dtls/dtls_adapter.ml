@@ -47,7 +47,9 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
         let output = List.filter_map Dtls_alphabet.abstract received in
         (output, [ request ], received)
   in
-  (Adapter.create ~description:"dtls" ~reset ~step (), client)
+  ( Adapter.create ~description:"dtls" ~inputs:Dtls_alphabet.all ~reset ~step
+      (),
+    client )
 
 let sul ?server_config ?network ~seed () =
   Adapter.to_sul (fst (create ?server_config ?network ~seed ()))

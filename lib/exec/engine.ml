@@ -33,7 +33,7 @@ let sequential = { default with batch = false }
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : 'i list option;
+  mutable position : int list option;
       (* word replayed since the last reset; [None] = state unknown,
          the next run must reset. A resume takes the position's
          per-step outputs from the cache, which the caching view fills
@@ -86,6 +86,10 @@ type ('i, 'o) t = {
          batching), which replays every miss from reset exactly like
          [Oracle.of_sul] *)
   workers : ('i, 'o) worker array;
+  inputs : 'i array; (* the workers' alphabet *)
+  order : int list -> int list -> int;
+      (* position words in the lexicographic order of their symbols:
+         batches are planned, and run, in the order symbol words had *)
   cache : ('i, 'o) Cache.t;
   stats : stats;
   oracle_stats : Oracle.stats;
@@ -126,6 +130,30 @@ let worker_quarantines labels id =
   Metrics.counter_l Metrics.default "exec.worker.quarantines"
     (worker_label labels id)
 
+(* Lexicographic order of position words by their symbols' order:
+   plain int-list [compare] when the alphabet is already sorted. *)
+let symbol_order inputs =
+  let n = Array.length inputs in
+  let sorted =
+    List.stable_sort
+      (fun i j -> compare inputs.(i) inputs.(j))
+      (List.init n Fun.id)
+  in
+  let rank = Array.make n 0 in
+  List.iteri (fun r i -> rank.(i) <- r) sorted;
+  if List.for_all2 ( = ) sorted (List.init n Fun.id) then Stdlib.compare
+  else
+    let rec cmp a b =
+      match (a, b) with
+      | [], [] -> 0
+      | [], _ -> -1
+      | _, [] -> 1
+      | x :: a', y :: b' ->
+          let c = Int.compare rank.(x) rank.(y) in
+          if c <> 0 then c else cmp a' b'
+    in
+    cmp
+
 let create ?(config = default) ?(labels = []) ?cache ~factory () =
   if config.workers < 1 then invalid_arg "Engine.create: workers must be >= 1";
   if config.replicas < 1 then
@@ -155,10 +183,13 @@ let create ?(config = default) ?(labels = []) ?cache ~factory () =
           Metrics.gauge_l Metrics.default "exec.worker.steps"
             (worker_label labels id) ))
   in
+  let inputs = workers.(0).sul.Sul.inputs in
   {
     config;
     resume = config.batch || config.workers > 1;
     workers;
+    inputs;
+    order = symbol_order inputs;
     cache = (match cache with Some c -> c | None -> Cache.create ());
     stats = fresh_stats ();
     oracle_stats = Oracle.fresh_stats ();
@@ -496,17 +527,17 @@ let rec take n l =
 (* [Plan.build] sorts its runs, and every planned word is a prefix of
    the first run sorting at or after it; binary search finds that
    run, whose outputs answer the word. *)
-let answer_of runs outs word =
+let answer_of order runs outs word =
   let rec first lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if compare runs.(mid) word < 0 then first (mid + 1) hi else first lo mid
+      if order runs.(mid) word < 0 then first (mid + 1) hi else first lo mid
   in
   take (List.length word) outs.(first 0 (Array.length runs))
 
 let exec_batch t words =
-  let plan = Plan.build words in
+  let plan = Plan.build ~compare:t.order words in
   let s = t.stats in
   s.batches <- s.batches + 1;
   Metrics.inc m_batches;
@@ -558,12 +589,12 @@ let exec_batch t words =
       "exec.batch" execute
   else execute ();
   flush t acct;
-  List.map (answer_of runs outs) words
+  List.map (answer_of t.order runs outs) words
 
 let membership t =
   let cached =
     Cache.wrap t.cache
-      (Oracle.of_fun ~stats:t.oracle_stats
+      (Oracle.of_fun ~stats:t.oracle_stats ~inputs:t.inputs
          ?batch:(if t.config.batch then Some (exec_batch t) else None)
          (exec_word t))
   in

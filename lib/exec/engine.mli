@@ -97,7 +97,11 @@ val thaw : ('i, 'o) t -> string -> unit
     @raise Invalid_argument on a foreign blob or a changed pool size. *)
 
 val membership : ('i, 'o) t -> ('i, 'o) Prognosis_learner.Oracle.membership
-(** The engine as a membership oracle. [ask] answers one word;
+(** The engine as a membership oracle over its workers' alphabet (the
+    first worker's [inputs]; every factory SUL must list the same).
+    Batches are planned in the lexicographic order of the words'
+    symbols, whatever order the alphabet lists them in. [ask] answers
+    one word;
     [ask_batch] (present when [config.batch]) plans and executes a
     whole batch. Answers are observationally identical to a direct
     sequential oracle over one [factory] instance — batching and

@@ -13,11 +13,11 @@ type 'i t = {
   baseline_steps : int;
 }
 
-(* Polymorphic [compare] on lists is lexicographic, so after sorting a
-   word is a strict prefix of some other planned word iff it is a
-   prefix of its immediate successor: any word sorting between a
-   prefix and its extension must itself share that prefix. *)
-let build words_list =
+(* [compare] is lexicographic, so after sorting a word is a strict
+   prefix of some other planned word iff it is a prefix of its
+   immediate successor: any word sorting between a prefix and its
+   extension must itself share that prefix. *)
+let build ~compare words_list =
   let words = List.length words_list in
   let sorted = List.sort compare words_list in
   let rec uniq = function

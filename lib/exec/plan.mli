@@ -25,7 +25,9 @@ type 'i t = {
           no-reuse sequential oracle instead *)
 }
 
-val build : 'i list list -> 'i t
+val build : compare:('i list -> 'i list -> int) -> 'i list list -> 'i t
+(** [compare] must be a lexicographic order on words; the engine passes
+    its alphabet's symbol order over position words. *)
 
 val is_prefix : 'i list -> 'i list -> bool
 (** [is_prefix p w] — is [p] a (non-strict) prefix of [w]? *)

@@ -29,24 +29,6 @@ let m_walk_words = Metrics.counter Metrics.default "identify.walk_words"
 let m_confirm_words =
   Metrics.counter Metrics.default "identify.confirm_words"
 
-let confirmation_suite model =
-  let cover = Mealy.access_words model in
-  let char = Mealy.characterizing_set model in
-  let seen = Hashtbl.create 64 in
-  let words = ref [] in
-  Array.iter
-    (fun access ->
-      List.iter
-        (fun suffix ->
-          let w = access @ suffix in
-          if w <> [] && not (Hashtbl.mem seen w) then begin
-            Hashtbl.add seen w ();
-            words := w :: !words
-          end)
-        char)
-    cover;
-  List.rev !words
-
 (* Walk the tree: one separating word per level, following the branch
    keyed by the observed output word. *)
 let rec walk ~(mq : (string, string) Oracle.membership) tree asked =
@@ -61,15 +43,16 @@ let rec walk ~(mq : (string, string) Oracle.membership) tree asked =
       | None ->
           Error
             {
-              word;
+              word = List.map (Array.get mq.inputs) word;
               actual;
               expected = List.map fst branches;
               stage = "walk";
             })
 
+(* The entry's suite and answers were built with the entry. *)
 let confirm ~(mq : (string, string) Oracle.membership)
     (entry : Library.entry) counted =
-  let suite = confirmation_suite entry.model in
+  let suite = List.map fst entry.confirm in
   counted := List.length suite;
   Metrics.inc ~by:!counted m_confirm_words;
   let answers =
@@ -79,19 +62,30 @@ let confirm ~(mq : (string, string) Oracle.membership)
   in
   let rec check = function
     | [], [] -> Ok ()
-    | w :: ws, a :: as_ ->
-        let predicted = Mealy.run entry.model w in
-        if a = predicted then check (ws, as_)
+    | (w, predicted) :: ws, a :: as_ ->
+        if Oracle.same_answer a predicted then check (ws, as_)
         else
           Error
-            { word = w; actual = a; expected = [ predicted ]; stage = "confirm" }
+            {
+              word = List.map (Array.get mq.inputs) w;
+              actual = a;
+              expected = [ predicted ];
+              stage = "confirm";
+            }
     | _ -> assert false
   in
-  check (suite, answers)
+  check (entry.confirm, answers)
 
 let run ~mq tree =
   Trace.with_span "identify" @@ fun () ->
   Metrics.inc m_runs;
+  (* Tree words are positions over the library's alphabet; [mq] is
+     asked them through a position map built once. *)
+  let mq =
+    match Splitter.inputs tree with
+    | Some inputs -> Oracle.over ~inputs mq
+    | None -> mq
+  in
   let stats : Oracle.stats = mq.Oracle.stats in
   let words0 = stats.membership_queries in
   let symbols0 = stats.membership_symbols in

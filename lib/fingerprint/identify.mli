@@ -39,16 +39,14 @@ type result = {
   confirm_words : int;  (** confirmation-suite words *)
 }
 
-val confirmation_suite :
-  (string, string) Prognosis_automata.Mealy.t -> string list list
-(** State cover × characterizing set, deduplicated, order-stable —
-    the words {!run} uses to confirm a candidate leaf. *)
-
 val run :
   mq:(string, string) Prognosis_learner.Oracle.membership ->
   Splitter.tree ->
   result
-(** Identify the endpoint behind [mq]. Emits [identify.walk] /
+(** Identify the endpoint behind [mq], whose alphabet may list the
+    library's inputs in another order (positions are translated once
+    per run). The candidate is confirmed with its entry's
+    {!Library.entry.confirm} suite. Emits [identify.walk] /
     [identify.confirm] spans and [identify.*] counters on the default
     metrics registry. Uses [mq.ask_batch] for the confirmation suite
     when the oracle provides it. *)

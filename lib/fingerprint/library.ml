@@ -9,6 +9,7 @@ type entry = {
   file : string;
   model : (string, string) Mealy.t;
   text : string;
+  confirm : (int list * string list) list;
 }
 
 type t = { dir : string; entries : entry list }
@@ -29,15 +30,39 @@ let canonical_text ~kind model =
   Persist.text_of_model ~kind ~input_to_string:Fun.id ~output_to_string:Fun.id
     model
 
-let entry_of_model ~name ~kind model =
-  let model = Mealy.canonicalize (Mealy.minimize model) in
+(* State cover × characterizing set, deduplicated in order, with the
+   model's own answers. *)
+let confirmation_suite model =
+  let p = Mealy.pack model in
+  let char = Mealy.characterizing_set model in
+  let seen = Hashtbl.create 64 in
+  let words = ref [] in
+  Array.iter
+    (fun access ->
+      List.iter
+        (fun suffix ->
+          let w = access @ suffix in
+          if w <> [] && not (Hashtbl.mem seen w) then begin
+            Hashtbl.add seen w ();
+            words := (w, Mealy.Packed.run p w) :: !words
+          end)
+        char)
+    (Mealy.access_words model);
+  List.rev !words
+
+let make_entry ~name ~kind ~file model =
   {
     name;
     kind;
-    file = sanitize name ^ ".model";
+    file;
     model;
     text = canonical_text ~kind model;
+    confirm = confirmation_suite model;
   }
+
+let entry_of_model ~name ~kind model =
+  make_entry ~name ~kind ~file:(sanitize name ^ ".model")
+    (Mealy.canonicalize (Mealy.minimize model))
 
 let sniff_kind text =
   match String.split_on_char '\n' text with
@@ -99,7 +124,7 @@ let load_entry ~dir ~name ~file kind =
   let* model =
     Result.map_error Persist.load_error_to_string (Persist.load_text ~path kind)
   in
-  Ok { name; kind; file; model; text = canonical_text ~kind model }
+  Ok (make_entry ~name ~kind ~file model)
 
 let load ~dir =
   Trace.with_span "library.load" @@ fun () ->

@@ -31,6 +31,11 @@ type entry = {
       (** minimized, canonicalized, string-typed — exactly the machine
           the [prognosis.model/1] bytes describe *)
   text : string;  (** the canonical serialization (identity of the entry) *)
+  confirm : (int list * string list) list;
+      (** the confirmation suite {!Identify} asks of a candidate: state
+          cover × characterizing set as position words over the model's
+          alphabet, deduplicated and order-stable, each with the
+          model's answer. Built once, with the entry. *)
 }
 
 type t = { dir : string; entries : entry list }

@@ -7,7 +7,7 @@ let g_depth = Metrics.gauge Metrics.default "splitter.depth"
 
 type tree =
   | Leaf of Library.entry option
-  | Node of { word : string list; branches : (string list * tree) list }
+  | Node of { word : int list; branches : (string list * tree) list }
 
 let ( let* ) = Result.bind
 let compare_output = List.compare String.compare
@@ -30,11 +30,13 @@ let check_alphabets = function
 
 (* Partition [entries] by their output word on [word], preserving
    entry order within each group. *)
+let run (e : Library.entry) word = Mealy.Packed.run (Mealy.pack e.model) word
+
 let partition_on word entries =
   let groups = ref [] in
   List.iter
     (fun (e : Library.entry) ->
-      let out = Mealy.run e.model word in
+      let out = run e word in
       match List.assoc_opt out !groups with
       | Some cell -> cell := e :: !cell
       | None -> groups := (out, ref [ e ]) :: !groups)
@@ -56,7 +58,8 @@ let rec build_group entries =
       | Some w ->
           (* w.word separates a from b, so every part is a strict
              subset of [entries] and the recursion terminates. *)
-          let parts = partition_on w.word entries in
+          let word = Mealy.encode a.model w.word in
+          let parts = partition_on word entries in
           let* branches =
             List.fold_left
               (fun acc (out, part) ->
@@ -65,7 +68,7 @@ let rec build_group entries =
                 Ok ((out, sub) :: acc))
               (Ok []) parts
           in
-          Ok (Node { word = w.word; branches = sort_branches branches }))
+          Ok (Node { word; branches = sort_branches branches }))
 
 let build entries =
   let* () = check_alphabets entries in
@@ -85,13 +88,14 @@ let rec insert tree (entry : Library.entry) =
         match Model_diff.shortest_difference e.model entry.model with
         | None -> Ok (Duplicate e)
         | Some w ->
-            let out_old = Mealy.run e.model w.word in
-            let out_new = Mealy.run entry.model w.word in
+            let word = Mealy.encode e.model w.word in
+            let out_old = run e word in
+            let out_new = run entry word in
             Ok
               (Inserted
                  (Node
                     {
-                      word = w.word;
+                      word;
                       branches =
                         sort_branches
                           [
@@ -100,7 +104,7 @@ let rec insert tree (entry : Library.entry) =
                           ];
                     })))
   | Node { word; branches } -> (
-      let out = Mealy.run entry.model word in
+      let out = run entry word in
       match List.assoc_opt out branches with
       | None ->
           Ok
@@ -195,15 +199,26 @@ let rebuild_if_skewed tree =
         set_depth_gauge rebuilt;
         Ok (rebuilt, true)
 
+(* Every entry of a tree shares one alphabet: the first leaf's. *)
+let rec inputs = function
+  | Leaf None -> None
+  | Leaf (Some e) -> Some (Mealy.inputs e.Library.model)
+  | Node { branches; _ } -> List.find_map (fun (_, sub) -> inputs sub) branches
+
+let symbols tree word =
+  match inputs tree with
+  | Some a -> List.map (Array.get a) word
+  | None -> []
+
 let word_json w = Jsonx.List (List.map (fun s -> Jsonx.String s) w)
 
 let rec to_json = function
   | Leaf None -> Jsonx.Obj [ ("leaf", Jsonx.Null) ]
   | Leaf (Some e) -> Jsonx.Obj [ ("leaf", Jsonx.String e.name) ]
-  | Node { word; branches } ->
+  | Node { word; branches } as node ->
       Jsonx.Obj
         [
-          ("word", word_json word);
+          ("word", word_json (symbols node word));
           ( "branches",
             Jsonx.List
               (List.map
@@ -219,8 +234,8 @@ let pp_word ppf w =
 let rec pp ppf = function
   | Leaf None -> Fmt.pf ppf "(no entry)"
   | Leaf (Some e) -> Fmt.pf ppf "%s" e.name
-  | Node { word; branches } ->
-      Fmt.pf ppf "@[<v>ask: %a" pp_word word;
+  | Node { word; branches } as node ->
+      Fmt.pf ppf "@[<v>ask: %a" pp_word (symbols node word);
       List.iter
         (fun (out, sub) ->
           Fmt.pf ppf "@,@[<v 2>-> %a:@,%a@]" pp_word out pp sub)

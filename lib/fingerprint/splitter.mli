@@ -24,10 +24,15 @@ type tree =
       (** [Some e]: the walk has isolated entry [e] (subject to the
           confirmation pass in {!Identify}); [None]: no library entry
           behaves this way. *)
-  | Node of { word : string list; branches : (string list * tree) list }
-      (** Ask [word]; follow the branch keyed by the observed output
+  | Node of { word : int list; branches : (string list * tree) list }
+      (** Ask [word], a position word over the entries' alphabet
+          ({!inputs}); follow the branch keyed by the observed output
           word. No matching branch means the endpoint is novel.
           Branches are sorted by output word. *)
+
+val inputs : tree -> string array option
+(** The input alphabet every entry of the tree shares; [None] for an
+    empty tree. *)
 
 val build : Library.entry list -> (tree, string) result
 (** Compile one same-kind group of entries. All entries must share

@@ -1,39 +1,37 @@
 module Metrics = Prognosis_obs.Metrics
 
-(* Compacted trie over interned symbol ids. Input and output symbols
-   are interned once into dense int ids; the trie itself stores
-   path-compressed edges — an [int array] of symbol ids with the
-   matching output ids alongside — so a chain of single-child nodes
-   costs one node and walking it is an int-array scan, not a hashtable
-   probe per symbol. Children are kept sorted by first edge symbol id
-   for cheap insertion; [dump] re-sorts siblings by the symbols
-   themselves so the checkpoint order is canonical.
+(* Compacted trie over position words. Words arrive as alphabet
+   positions, so the trie keys its edges on them directly: a
+   path-compressed edge is an [int array] of positions with the
+   matching outputs alongside, a chain of single-child nodes costs one
+   node, and walking it is an int-array scan. An output is interned
+   only when an edge is created, so the trie keeps one value per
+   distinct output; an overlapping insert compares against the stored
+   value, and lookups never hash. Children are kept sorted by first
+   edge position for cheap insertion; [dump] re-sorts siblings by the
+   symbols themselves so the checkpoint order is canonical.
 
    One trie is shared by every session probing an endpoint, across
    domains. Inserts take the mutex; lookups run lock-free and
-   optimistic. [lookup] and [lookup_longest_prefix] never mutate the
-   structure (unknown symbols are a miss, not an interning event), and
-   inserts are publication-safe (see [split]), so a racing reader sees
-   a stale-but-consistent trie at worst. A seqlock-style generation
+   optimistic. [lookup] never mutates the structure, and inserts are
+   publication-safe (see [split]), so a racing reader sees a
+   stale-but-consistent trie at worst. A seqlock-style generation
    counter (odd while an insert is in flight) rejects even that: a
    lookup that overlapped a write discards its answer and retries
    under the mutex. *)
 
-type node = {
+type 'o node = {
   path : int array; (* compressed edge into this subtree; immutable
                        once the node is reachable (see [split]) *)
-  pouts : int array; (* output ids along the edge; same length *)
-  mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
+  pouts : 'o array; (* outputs along the edge; same length *)
+  mutable kids : 'o node list; (* sorted by [path.(0)]; first positions
+                                  distinct *)
 }
 
 type ('i, 'o) t = {
-  sym_ids : ('i, int) Hashtbl.t;
-  mutable syms : 'i array; (* id -> input symbol *)
-  mutable n_syms : int;
-  out_ids : ('o, int) Hashtbl.t;
-  mutable outs : 'o array; (* id -> output symbol *)
-  mutable n_outs : int;
-  root : node;
+  mutable alphabet : 'i array; (* [||] until the first view or restore *)
+  outs : ('o, 'o) Hashtbl.t; (* each distinct output, once; inserts only *)
+  root : 'o node;
   mutable prefixes : int; (* distinct cached non-empty prefixes *)
   mutable phys : int; (* physical (compacted) nodes, root included *)
   lock : Mutex.t; (* taken by inserts only *)
@@ -42,14 +40,10 @@ type ('i, 'o) t = {
   misses : int Atomic.t;
 }
 
-let create () =
+let create ?(inputs = [||]) () =
   {
-    sym_ids = Hashtbl.create 16;
-    syms = [||];
-    n_syms = 0;
-    out_ids = Hashtbl.create 16;
-    outs = [||];
-    n_outs = 0;
+    alphabet = inputs;
+    outs = Hashtbl.create 16;
     root = { path = [||]; pouts = [||]; kids = [] };
     prefixes = 0;
     phys = 1;
@@ -58,38 +52,6 @@ let create () =
     hits = Atomic.make 0;
     misses = Atomic.make 0;
   }
-
-let intern_sym t x =
-  match Hashtbl.find_opt t.sym_ids x with
-  | Some id -> id
-  | None ->
-      let id = t.n_syms in
-      let cap = Array.length t.syms in
-      if id >= cap then begin
-        let a = Array.make (max 8 (2 * cap)) x in
-        Array.blit t.syms 0 a 0 t.n_syms;
-        t.syms <- a
-      end;
-      t.syms.(id) <- x;
-      t.n_syms <- id + 1;
-      Hashtbl.add t.sym_ids x id;
-      id
-
-let intern_out t o =
-  match Hashtbl.find_opt t.out_ids o with
-  | Some id -> id
-  | None ->
-      let id = t.n_outs in
-      let cap = Array.length t.outs in
-      if id >= cap then begin
-        let a = Array.make (max 8 (2 * cap)) o in
-        Array.blit t.outs 0 a 0 t.n_outs;
-        t.outs <- a
-      end;
-      t.outs.(id) <- o;
-      t.n_outs <- id + 1;
-      Hashtbl.add t.out_ids o id;
-      id
 
 let conflict () =
   invalid_arg "Cache.insert: conflicting outputs (nondeterministic SUL?)"
@@ -141,19 +103,24 @@ let split t parent kid j =
 let insert_unlocked t word outputs =
   if List.length word <> List.length outputs then
     invalid_arg "Cache.insert: word/outputs length mismatch";
+  let intern o =
+    match Hashtbl.find_opt t.outs o with
+    | Some o -> o
+    | None ->
+        Hashtbl.add t.outs o o;
+        o
+  in
   let fresh_leaf word outs =
-    let ids = Array.of_list (List.map (intern_sym t) word) in
-    let oids = Array.of_list (List.map (intern_out t) outs) in
+    let path = Array.of_list word in
     t.phys <- t.phys + 1;
-    t.prefixes <- t.prefixes + Array.length ids;
-    { path = ids; pouts = oids; kids = [] }
+    t.prefixes <- t.prefixes + Array.length path;
+    { path; pouts = Array.of_list (List.map intern outs); kids = [] }
   in
   let rec at_node node word outs =
     match word with
     | [] -> ()
     | x :: _ -> (
-        let xi = intern_sym t x in
-        match find_kid node.kids xi with
+        match find_kid node.kids x with
         | None -> node.kids <- insert_sorted (fresh_leaf word outs) node.kids
         | Some kid -> in_edge node kid 0 word outs)
   and in_edge parent kid j word outs =
@@ -162,9 +129,9 @@ let insert_unlocked t word outputs =
       match (word, outs) with
       | [], [] -> ()
       | x :: word', o :: outs' ->
-          let xi = intern_sym t x in
-          if xi = kid.path.(j) then begin
-            if intern_out t o <> kid.pouts.(j) then conflict ();
+          if x = kid.path.(j) then begin
+            let stored = kid.pouts.(j) in
+            if not (o == stored || o = stored) then conflict ();
             in_edge parent kid (j + 1) word' outs'
           end
           else begin
@@ -209,65 +176,27 @@ let read t f x =
     | v -> if Atomic.get t.gen = g then v else read_locked t f x
     | exception _ -> read_locked t f x
 
-let sym_id_opt t x = Hashtbl.find_opt t.sym_ids x
-
 let lookup_unlocked t word =
   let rec at_node node word acc =
     match word with
     | [] -> Some (List.rev acc)
     | x :: _ -> (
-        match sym_id_opt t x with
+        match find_kid node.kids x with
         | None -> None
-        | Some xi -> (
-            match find_kid node.kids xi with
-            | None -> None
-            | Some kid -> in_edge kid 0 word acc))
+        | Some kid -> in_edge kid 0 word acc)
   and in_edge kid j word acc =
     if j = Array.length kid.path then at_node kid word acc
     else
       match word with
       | [] -> Some (List.rev acc)
-      | x :: word' -> (
-          match sym_id_opt t x with
-          | Some xi when xi = Array.unsafe_get kid.path j ->
-              in_edge kid (j + 1) word' (t.outs.(Array.unsafe_get kid.pouts j) :: acc)
-          | _ -> None)
+      | x :: word' ->
+          if x = Array.unsafe_get kid.path j then
+            in_edge kid (j + 1) word' (Array.unsafe_get kid.pouts j :: acc)
+          else None
   in
   at_node t.root word []
 
 let lookup t word = read t lookup_unlocked word
-
-let lookup_longest_prefix_unlocked t word =
-  let stop acc_in acc_out =
-    match acc_in with
-    | [] -> None
-    | _ -> Some (List.rev acc_in, List.rev acc_out)
-  in
-  let rec at_node node word acc_in acc_out =
-    match word with
-    | [] -> stop acc_in acc_out
-    | x :: _ -> (
-        match sym_id_opt t x with
-        | None -> stop acc_in acc_out
-        | Some xi -> (
-            match find_kid node.kids xi with
-            | None -> stop acc_in acc_out
-            | Some kid -> in_edge kid 0 word acc_in acc_out))
-  and in_edge kid j word acc_in acc_out =
-    if j = Array.length kid.path then at_node kid word acc_in acc_out
-    else
-      match word with
-      | [] -> stop acc_in acc_out
-      | x :: word' -> (
-          match sym_id_opt t x with
-          | Some xi when xi = kid.path.(j) ->
-              in_edge kid (j + 1) word' (x :: acc_in)
-                (t.outs.(kid.pouts.(j)) :: acc_out)
-          | _ -> stop acc_in acc_out)
-  in
-  at_node t.root word [] []
-
-let lookup_longest_prefix t word = read t lookup_longest_prefix_unlocked word
 
 let size t = t.prefixes + 1
 let compacted_nodes t = t.phys
@@ -277,16 +206,21 @@ let misses t = Atomic.get t.misses
 (* Maximal cached words: the trie's leaves. Every inserted word is a
    prefix of some leaf word (insert fills outputs along the whole
    path), so re-inserting the leaves rebuilds the trie exactly.
-   Children are sorted, so the order is deterministic for a given
-   insertion history. *)
-(* Canonical order: depth-first with siblings sorted by their actual
-   first symbol, not its interned id — ids depend on insertion history,
-   so sorting by id would make the dump of a restored cache differ from
-   the dump it was restored from. With symbol-order DFS the dump is a
-   function of the cached word set alone, and dump/restore round-trips
-   byte-identically even for dumps written by the pre-compaction
-   implementation in hash-table order. *)
+   Canonical order: depth-first with siblings sorted by their symbols,
+   not their positions, so the dump is a function of the cached word
+   set alone — independent of insertion history and of the order the
+   alphabet lists its symbols — and dump/restore round-trips
+   byte-identically, also for dumps written by the hash-table
+   implementation in arbitrary order. *)
+let known_alphabet fn t =
+  if Array.length t.alphabet = 0 then
+    invalid_arg (fn ^ ": the cache's alphabet is not known yet");
+  t.alphabet
+
 let dump_unlocked t () =
+  let syms =
+    match t.root.kids with [] -> [||] | _ -> known_alphabet "Cache.dump" t
+  in
   let acc = ref [] in
   let rec go node rev_in rev_out =
     match node.kids with
@@ -294,15 +228,15 @@ let dump_unlocked t () =
     | kids ->
         let kids =
           List.sort
-            (fun a b -> compare t.syms.(a.path.(0)) t.syms.(b.path.(0)))
+            (fun a b -> compare syms.(a.path.(0)) syms.(b.path.(0)))
             kids
         in
         List.iter
           (fun k ->
             let ri = ref rev_in and ro = ref rev_out in
             for j = 0 to Array.length k.path - 1 do
-              ri := t.syms.(k.path.(j)) :: !ri;
-              ro := t.outs.(k.pouts.(j)) :: !ro
+              ri := syms.(k.path.(j)) :: !ri;
+              ro := k.pouts.(j) :: !ro
             done;
             go k !ri !ro)
           kids
@@ -312,12 +246,34 @@ let dump_unlocked t () =
 
 let dump t = read t dump_unlocked ()
 
-let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
+let restore t words =
+  let syms =
+    match words with [] -> [||] | _ -> known_alphabet "Cache.restore" t
+  in
+  let position x =
+    try Prognosis_automata.Mealy.position syms x
+    with Not_found ->
+      invalid_arg "Cache.restore: a symbol is not in the cache's alphabet"
+  in
+  List.iter (fun (w, outs) -> insert t (List.map position w) outs) words
+
+(* A view fixes the alphabet of a cache created without one; every
+   later view must ask over the same alphabet. *)
+let adopt t inputs =
+  Mutex.lock t.lock;
+  let ok =
+    if Array.length t.alphabet = 0 then begin
+      t.alphabet <- inputs;
+      true
+    end
+    else t.alphabet == inputs || t.alphabet = inputs
+  in
+  Mutex.unlock t.lock;
+  if not ok then
+    invalid_arg "Cache.wrap: the cache holds words over another alphabet"
 
 let m_hits = Metrics.counter Metrics.default "cache.hits"
 let m_misses = Metrics.counter Metrics.default "cache.misses"
-let m_prefix_hits = Metrics.counter Metrics.default "cache.prefix_hits"
-let m_prefix_symbols = Metrics.counter Metrics.default "cache.prefix_symbols"
 let g_nodes = Metrics.gauge Metrics.default "cache.nodes"
 let g_trie_nodes = Metrics.gauge Metrics.default "cache.trie.nodes"
 
@@ -325,37 +281,15 @@ let set_gauges t =
   Metrics.set g_nodes (float_of_int (size t));
   Metrics.set g_trie_nodes (float_of_int t.phys)
 
-let rec split_at n l =
-  if n = 0 then ([], l)
-  else
-    match l with
-    | [] -> invalid_arg "Cache.split_at"
-    | x :: rest ->
-        let a, b = split_at (n - 1) rest in
-        (x :: a, b)
-
 let wrap t (mq : ('i, 'o) Oracle.membership) =
-  (* On a miss the underlying oracle still replays the full word (a
-     plain SUL cannot start mid-run), but when a cached word is a
-     prefix of the query the cached per-step outputs stand in for the
-     fresh prefix outputs: an engine-backed oracle uses the same cache
-     to resume a worker mid-word, and the fresh/cached comparison
-     preserves the nondeterminism detection [insert] would perform. *)
+  adopt t mq.Oracle.inputs;
+  (* A miss replays the whole word (a plain SUL cannot start mid-run);
+     [insert] compares the fresh answer with every cached prefix on
+     its way down, so a nondeterministic SUL still raises. *)
   let miss word =
     Atomic.incr t.misses;
     Metrics.inc m_misses;
-    let answer =
-      match lookup_longest_prefix t word with
-      | None -> mq.ask word
-      | Some (prefix, cached_outs) ->
-          let k = List.length prefix in
-          let fresh = mq.ask word in
-          let fresh_prefix, fresh_suffix = split_at k fresh in
-          if fresh_prefix <> cached_outs then conflict ();
-          Metrics.inc m_prefix_hits;
-          Metrics.inc ~by:k m_prefix_symbols;
-          cached_outs @ fresh_suffix
-    in
+    let answer = mq.ask word in
     insert t word answer;
     set_gauges t;
     answer

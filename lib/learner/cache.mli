@@ -6,10 +6,11 @@
     answers any query that is a prefix of a previously executed one
     without touching the SUL.
 
-    Internally the trie is compacted: input and output symbols are
-    interned into dense int ids and chains of single-child nodes are
-    collapsed into path-compressed edges, so lookups scan int arrays
-    instead of probing a hashtable per symbol.
+    Words are position words over the cache's alphabet (see
+    {!Prognosis_sul.Sul}), and the trie keys on them directly: chains
+    of single-child nodes are collapsed into path-compressed edges, so
+    lookups scan int arrays and never hash a symbol. Only {!dump} and
+    {!restore} speak symbol words.
 
     A cache is safe to share across domains: one trie serves every
     fleet session probing the same endpoint. Inserts take a mutex;
@@ -19,21 +20,16 @@
 
 type ('i, 'o) t
 
-val create : unit -> ('i, 'o) t
+val create : ?inputs:'i array -> unit -> ('i, 'o) t
+(** A cache over the alphabet [inputs]. Without it the first {!wrap}
+    fixes the alphabet. *)
 
-val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
+val insert : ('i, 'o) t -> int list -> 'o list -> unit
 (** Records an executed query and its answer. Conflicting outputs for
     an already-cached prefix raise [Invalid_argument] — that situation
     means the SUL answered nondeterministically. *)
 
-val lookup : ('i, 'o) t -> 'i list -> 'o list option
-
-val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
-(** [lookup_longest_prefix t word] is [Some (prefix, outputs)] for the
-    longest non-empty prefix of [word] the cache can answer, or [None]
-    when not even the first symbol is cached. A partial replay can
-    resume from [prefix] instead of restarting: only the un-cached
-    suffix still needs live execution. *)
+val lookup : ('i, 'o) t -> int list -> 'o list option
 
 val size : ('i, 'o) t -> int
 (** Number of logical trie nodes — one per distinct cached non-empty
@@ -54,26 +50,33 @@ val dump : ('i, 'o) t -> ('i list * 'o list) list
 (** The maximal cached words with their outputs — enough to rebuild the
     whole trie with {!restore}, since every cached word is a prefix of
     a maximal one. Order is canonical: depth-first, siblings sorted by
-    symbol (polymorphic compare), independent of insertion history —
+    symbol (polymorphic compare), independent of insertion history and
+    of the alphabet's order —
     so [dump]→[restore]→[dump] round-trips byte-identically, including
     for dumps produced by the pre-compaction implementation, whose
     entry type is unchanged but whose hash-table order was arbitrary.
     A cache filled from several domains dumps exactly like one filled
-    sequentially with the same words. *)
+    sequentially with the same words.
+    @raise Invalid_argument on a non-empty cache whose alphabet is not
+    known. *)
 
 val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
 (** Re-inserts a {!dump}. Restored entries do not count as hits or
-    misses; conflicting outputs raise like {!insert}. *)
+    misses; conflicting outputs raise like {!insert}.
+    @raise Invalid_argument if the cache's alphabet is not known or
+    lacks a symbol. *)
 
 val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
-(** Caching view of a membership oracle: only cache misses reach the
-    underlying oracle (and are counted in its statistics). When a
-    cached word is a prefix of a missing query, the cached per-step
-    outputs are reused for the prefix and compared against the fresh
-    replay — a mismatch raises the same [Invalid_argument] as a
-    conflicting {!insert} (nondeterministic SUL). If the underlying
+(** Caching view of a membership oracle over the oracle's alphabet:
+    only cache misses reach the underlying oracle (and are counted in
+    its statistics). A miss is inserted with its fresh answer, so an
+    answer that disagrees with a cached prefix raises the
+    [Invalid_argument] of a conflicting {!insert} (nondeterministic
+    SUL). If the underlying
     oracle supports [ask_batch], so does the wrapped one: cached words
     are answered up front and only the misses are batched down. Each
     miss is inserted once, by the view, after the underlying oracle
     answers. Any number of views, on any domains, may share one
-    cache. *)
+    cache.
+    @raise Invalid_argument if the cache already holds words over
+    another alphabet. *)

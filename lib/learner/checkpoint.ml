@@ -114,10 +114,10 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let start ~kind s =
+let start ~kind ~inputs s =
   mkdir_p s.dir;
   let path = Filename.concat s.dir (kind ^ ".ckpt") in
-  let c = Cache.create () in
+  let c = Cache.create ~inputs () in
   let base, exec0 =
     if not s.resume then (0, None)
     else

@@ -73,8 +73,10 @@ exception Budget_exhausted of { queries : int; path : string }
 
 type ('i, 'o) session
 
-val start : kind:string -> spec -> ('i, 'o) session
-(** Creates [spec.dir] if needed. With [spec.resume], loads
+val start : kind:string -> inputs:'i array -> spec -> ('i, 'o) session
+(** Creates [spec.dir] if needed. The session's cache is over the
+    SUL alphabet [inputs]; snapshots keep symbol words, so they do not
+    depend on its order. With [spec.resume], loads
     [dir/kind.ckpt] into a fresh cache (a missing file degrades to a
     fresh start; any other load failure raises [Failure] with the
     structured error rendered).

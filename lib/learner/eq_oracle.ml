@@ -11,14 +11,18 @@ let m_shards = Metrics.counter Metrics.default "eq.shards"
 (* one per word-chunk handed to a batch-capable oracle: each shard is a
    unit the engine may spread across its worker domains *)
 
+(* Suites are position words over the hypothesis' alphabet, which is
+   [mq]'s: the hypothesis steps them on its packed form. *)
+let hyp_run h word = Mealy.Packed.run (Mealy.pack h) word
+
 let check_word (mq : ('i, 'o) Oracle.membership) h word =
   if word = [] then None
   else begin
     mq.Oracle.stats.test_words <- mq.Oracle.stats.test_words + 1;
     Metrics.inc m_test_words;
     let sul_out = mq.ask word in
-    let hyp_out = Mealy.run h word in
-    if sul_out <> hyp_out then begin
+    let hyp_out = hyp_run h word in
+    if not (Oracle.same_answer sul_out hyp_out) then begin
       Metrics.inc m_counterexamples;
       if Trace.enabled () then
         Trace.event
@@ -53,7 +57,7 @@ let check_batched mq batch h words =
       let rec find words answers =
         match (words, answers) with
         | word :: words', out :: answers' ->
-            if out <> Mealy.run h word then begin
+            if not (Oracle.same_answer out (hyp_run h word)) then begin
               Metrics.inc m_counterexamples;
               if Trace.enabled () then
                 Trace.event
@@ -93,11 +97,10 @@ let check_suite mq h suite =
           match acc with Some _ -> acc | None -> check_word mq h word)
         None suite
 
-let random_word rng inputs len =
-  List.init len (fun _ -> inputs.(Rng.int rng (Array.length inputs)))
+let random_word rng n len = List.init len (fun _ -> Rng.int rng n)
 
 let random_words ~rng ~max_tests ~min_len ~max_len mq h =
-  let inputs = Mealy.inputs h in
+  let alpha = Mealy.alphabet_size h in
   match mq.Oracle.ask_batch with
   | Some batch ->
       (* Words are pre-drawn a chunk at a time so the engine can plan
@@ -106,7 +109,7 @@ let random_words ~rng ~max_tests ~min_len ~max_len mq h =
          past a counterexample-bearing word never get drawn. *)
       let draw () =
         let len = min_len + Rng.int rng (max_len - min_len + 1) in
-        random_word rng inputs len
+        random_word rng alpha len
       in
       let rec draw_chunk n acc =
         if n = 0 then List.rev acc else draw_chunk (n - 1) (draw () :: acc)
@@ -125,16 +128,16 @@ let random_words ~rng ~max_tests ~min_len ~max_len mq h =
         if k = 0 then None
         else
           let len = min_len + Rng.int rng (max_len - min_len + 1) in
-          match check_word mq h (random_word rng inputs len) with
+          match check_word mq h (random_word rng alpha len) with
           | Some cex -> Some cex
           | None -> loop (k - 1)
       in
       loop max_tests
 
 let random_walk ~rng ~max_tests ~stop_prob mq h =
-  let inputs = Mealy.inputs h in
+  let n = Mealy.alphabet_size h in
   let rec draw acc =
-    let acc = inputs.(Rng.int rng (Array.length inputs)) :: acc in
+    let acc = Rng.int rng n :: acc in
     if Rng.bool rng stop_prob then List.rev acc else draw acc
   in
   let rec loop k =
@@ -152,13 +155,15 @@ let w_method ?(extra_states = 0) () mq h =
 let wp_method ?(extra_states = 0) () mq h =
   check_suite mq h (Testing.wp_method ~extra_states h)
 
-let fixed_words words mq h = check_suite mq h words
+(* The scenarios are symbol words: encoded once per call. *)
+let fixed_words words mq h = check_suite mq h (List.map (Mealy.encode h) words)
 
 let exhaustive ~max_len mq h =
-  let words = Testing.middle_words (Mealy.inputs h) max_len in
+  let words = Testing.middle_words (Mealy.alphabet_size h) max_len in
   check_suite mq h words
 
-let against target _mq h = Mealy.equivalent target h
+let against target _mq h =
+  Option.map (Mealy.encode h) (Mealy.equivalent target h)
 
 let combine oracles mq h =
   List.fold_left
@@ -167,7 +172,7 @@ let combine oracles mq h =
 
 let shrink (mq : ('i, 'o) Oracle.membership) h cex =
   let distinguishes word =
-    word <> [] && mq.ask word <> Mealy.run h word
+    word <> [] && not (Oracle.same_answer (mq.ask word) (hyp_run h word))
   in
   let rec remove_one prefix = function
     | [] -> None

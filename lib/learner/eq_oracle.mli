@@ -37,7 +37,8 @@ val wp_method : ?extra_states:int -> unit -> ('i, 'o) Oracle.equivalence
 (** Like {!w_method} with the smaller Wp suite. *)
 
 val fixed_words : 'i list list -> ('i, 'o) Oracle.equivalence
-(** Tests a fixed scenario list (e.g. the protocol's happy paths).
+(** Tests a fixed list of symbol words (e.g. the protocol's happy
+    paths), encoded over the hypothesis' alphabet once per call.
     Deep sequential behaviour — a DTLS handshake needs five correct
     symbols in a row — is practically unreachable by random testing;
     seeding the equivalence oracle with domain scenarios is how
@@ -58,7 +59,7 @@ val combine : ('i, 'o) Oracle.equivalence list -> ('i, 'o) Oracle.equivalence
 (** Tries oracles in order, returning the first counterexample. *)
 
 val shrink : ('i, 'o) Oracle.membership -> ('i, 'o) Prognosis_automata.Mealy.t ->
-  'i list -> 'i list
+  int list -> int list
 (** Greedily removes symbols from a counterexample while it still
     distinguishes SUL and hypothesis; shorter counterexamples cost
     fewer queries during refinement. *)

@@ -28,7 +28,11 @@ val run :
     the SUL, which equal the cache misses; hits are reported
     separately. The case studies learn through
     [Prognosis_exec.Engine.learn] instead, whose sequential default
-    asks the same queries. *)
+    asks the same queries. [inputs] may order or subset the SUL's
+    alphabet: the learner works in positions over [inputs] and
+    translates them once ({!Oracle.over}); the model is over [inputs].
+    @raise Invalid_argument before the first query if an input is not
+    in the SUL's alphabet. *)
 
 val run_mq :
   ?algorithm:algorithm ->

@@ -10,13 +10,17 @@ let h_cex_len = Metrics.histogram Metrics.default "learner.cex_length"
 type ('i, 'o) state = {
   inputs : 'i array;
   mq : ('i, 'o) Oracle.membership;
-  mutable s : 'i list list; (* prefix-closed access words, insertion order *)
-  mutable e : 'i list list; (* suffix-closed, nonempty columns *)
+  mutable s : int list list; (* prefix-closed access words, insertion order *)
+  mutable e : int list list; (* suffix-closed, nonempty columns *)
 }
 
+(* Words are position words over [inputs]; [Oracle.over] translates
+   them once into [mq]'s alphabet when the two differ. *)
 let create ~inputs mq =
   if Array.length inputs = 0 then invalid_arg "Lstar.create: empty alphabet";
-  { inputs; mq; s = [ [] ]; e = Array.to_list (Array.map (fun a -> [ a ]) inputs) }
+  let mq = Oracle.over ~inputs mq in
+  let e = List.init (Array.length inputs) (fun i -> [ i ]) in
+  { inputs; mq; s = [ [] ]; e }
 
 (* Output word for the suffix [e] after access word [u]: the last |e|
    outputs of the full query u·e. *)
@@ -47,7 +51,7 @@ let close t =
               if List.mem ua t.s then None
               else if Hashtbl.mem s_rows (row t ua) then None
               else Some ua)
-            (Array.to_list t.inputs))
+            (List.init (Array.length t.inputs) Fun.id))
         t.s
     in
     match missing with
@@ -79,13 +83,13 @@ let hypothesis t =
   let lambda =
     Array.init size (fun q ->
         Array.init n (fun i ->
-            match suffix_output t reps.(q) [ t.inputs.(i) ] with
+            match suffix_output t reps.(q) [ i ] with
             | [ o ] -> o
             | _ -> assert false))
   in
   for q = 0 to size - 1 do
     for i = 0 to n - 1 do
-      delta.(q).(i) <- state_of (reps.(q) @ [ t.inputs.(i) ])
+      delta.(q).(i) <- state_of (reps.(q) @ [ i ])
     done
   done;
   Mealy.make ~size ~initial:(state_of []) ~inputs:t.inputs ~delta ~lambda
@@ -129,7 +133,7 @@ let learn ?(max_rounds = 100) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
             Trace.with_span
               ~attrs:[ ("phase", Jsonx.String "eq-oracle") ]
               "learner.eq_query"
-              (fun () -> eq mq h)
+              (fun () -> eq t.mq h)
           in
           (h, cex))
     in

@@ -15,13 +15,18 @@ type ('i, 'o) state
 (** A learning run in progress (exposed for inspection in tests). *)
 
 val create : inputs:'i array -> ('i, 'o) Oracle.membership -> ('i, 'o) state
+(** The learner works in position words over [inputs], which may order
+    or subset the oracle's alphabet ({!Oracle.over} translates
+    positions once).
+    @raise Invalid_argument on an empty alphabet or an input outside
+    the oracle's alphabet, before the first query. *)
 
 val hypothesis : ('i, 'o) state -> ('i, 'o) Prognosis_automata.Mealy.t
 (** Closes the table if needed and builds the current hypothesis. *)
 
-val refine : ('i, 'o) state -> 'i list -> unit
-(** Processes a counterexample word (a word on which the SUL and the
-    current hypothesis disagree). *)
+val refine : ('i, 'o) state -> int list -> unit
+(** Processes a counterexample position word (a word on which the SUL
+    and the current hypothesis disagree). *)
 
 val rows : ('i, 'o) state -> int
 val columns : ('i, 'o) state -> int

@@ -18,8 +18,9 @@ let fresh_stats () =
   }
 
 type ('i, 'o) membership = {
-  ask : 'i list -> 'o list;
-  ask_batch : ('i list list -> 'o list list) option;
+  inputs : 'i array;
+  ask : int list -> 'o list;
+  ask_batch : (int list list -> 'o list list) option;
   stats : stats;
 }
 
@@ -32,7 +33,7 @@ let h_latency = Metrics.histogram Metrics.default "oracle.mq_latency_ns"
    layers sit *above* this oracle and short-circuit before [ask] runs,
    which is what keeps [membership_queries] an exact count of queries
    the SUL actually served. *)
-let of_fun ?stats ?batch f =
+let of_fun ?stats ?batch ~inputs f =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let ask word =
     stats.membership_queries <- stats.membership_queries + 1;
@@ -69,12 +70,51 @@ let of_fun ?stats ?batch f =
         f words)
       batch
   in
-  { ask; ask_batch; stats }
+  { inputs; ask; ask_batch; stats }
 
-let of_sul ?stats sul = of_fun ?stats (Prognosis_sul.Sul.query sul)
+let of_sul ?stats (sul : _ Prognosis_sul.Sul.t) =
+  of_fun ?stats ~inputs:sul.inputs (Prognosis_sul.Sul.query sul)
 
-let of_sul_checked ?stats ?(config = Prognosis_sul.Nondet.default) ~pp sul =
-  of_fun ?stats (Prognosis_sul.Nondet.deterministic_query config ~pp sul)
+let of_sul_checked ?stats ?(config = Prognosis_sul.Nondet.default) ~pp
+    (sul : _ Prognosis_sul.Sul.t) =
+  of_fun ?stats ~inputs:sul.inputs
+    (Prognosis_sul.Nondet.deterministic_query config ~pp sul)
+
+(* Position [i] of [inputs] is position [map.(i)] of [mq.inputs]; the
+   map is built once. An alphabet that is a prefix of [mq]'s (a subset
+   in the same order, like QUIC's seven symbols of the adapter's ten)
+   keeps every position and needs no translation. *)
+let over ~inputs mq =
+  if inputs == mq.inputs || inputs = mq.inputs then mq
+  else begin
+    let position x =
+      try Prognosis_automata.Mealy.position mq.inputs x
+      with Not_found ->
+        invalid_arg "Oracle.over: a symbol is not in the oracle's alphabet"
+    in
+    let map = Array.map position inputs in
+    let translate word = List.map (Array.get map) word in
+    let same_positions = ref true in
+    Array.iteri (fun i j -> if i <> j then same_positions := false) map;
+    if !same_positions then { mq with inputs }
+    else
+      {
+        inputs;
+        ask = (fun word -> mq.ask (translate word));
+        ask_batch =
+          Option.map (fun f words -> f (List.map translate words)) mq.ask_batch;
+        stats = mq.stats;
+      }
+  end
+
+(* Answers are compared output by output, physically first: an answer
+   replayed from the SUL's (or a model's) own values then costs no
+   polymorphic comparison. *)
+let rec same_answer a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> (x == y || x = y) && same_answer a b
+  | _ -> false
 
 type ('i, 'o) equivalence =
-  ('i, 'o) membership -> ('i, 'o) Prognosis_automata.Mealy.t -> 'i list option
+  ('i, 'o) membership -> ('i, 'o) Prognosis_automata.Mealy.t -> int list option

@@ -3,7 +3,7 @@ module Mealy = Prognosis_automata.Mealy
 type ('i, 'o) sample = ('i list * 'o list) list
 
 let sample_of_words sul words =
-  List.map (fun w -> (w, Prognosis_sul.Sul.query sul w)) words
+  List.map (fun w -> (w, Prognosis_sul.Sul.run sul w)) words
 
 let random_sample ~rng ~inputs ~words ~max_len sul =
   let word () =
@@ -186,5 +186,4 @@ let rpni ~inputs ~default sample =
 let consistent machine sample =
   List.for_all (fun (word, outputs) -> Mealy.run machine word = outputs) sample
 
-let preload cache sample =
-  List.iter (fun (word, outputs) -> Cache.insert cache word outputs) sample
+let preload cache sample = Cache.restore cache sample

@@ -55,4 +55,5 @@ val consistent :
 (** Does the machine reproduce every trace of the sample? *)
 
 val preload : ('i, 'o) Cache.t -> ('i, 'o) sample -> unit
-(** Insert logged traces into a membership cache (the hybrid of §8). *)
+(** Insert logged traces into a membership cache (the hybrid of §8).
+    The cache must know its alphabet ({!Cache.create} [~inputs]). *)

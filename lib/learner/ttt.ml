@@ -15,10 +15,10 @@ and ('i, 'o) contents =
   | Leaf of ('i, 'o) leaf
   | Node of ('i, 'o) node
 
-and ('i, 'o) leaf = { access : 'i list; id : int }
+and ('i, 'o) leaf = { access : int list; id : int }
 
 and ('i, 'o) node = {
-  discriminator : 'i list;
+  discriminator : int list;
   mutable children : ('o list * ('i, 'o) cell) list;
 }
 
@@ -28,11 +28,14 @@ type ('i, 'o) state = {
   root : ('i, 'o) cell;
   mutable next_id : int;
   cells : (int, ('i, 'o) cell) Hashtbl.t; (* leaf id -> enclosing cell *)
-  accesses : (int, 'i list) Hashtbl.t;
+  accesses : (int, int list) Hashtbl.t;
 }
 
+(* Words are position words over [inputs]; [Oracle.over] translates
+   them once into [mq]'s alphabet when the two differ. *)
 let create ~inputs mq =
   if Array.length inputs = 0 then invalid_arg "Ttt.create: empty alphabet";
+  let mq = Oracle.over ~inputs mq in
   let leaf = { access = []; id = 0 } in
   let root = { contents = Leaf leaf } in
   let cells = Hashtbl.create 16 in
@@ -64,8 +67,10 @@ let rec sift t cell u =
   | Leaf l -> l
   | Node n -> (
       let out = suffix_output t u n.discriminator in
-      match List.assoc_opt out n.children with
-      | Some child -> sift t child u
+      match
+        List.find_opt (fun (o, _) -> Oracle.same_answer o out) n.children
+      with
+      | Some (_, child) -> sift t child u
       | None ->
           let leaf = fresh_leaf t u in
           let child = { contents = Leaf leaf } in
@@ -88,12 +93,12 @@ let hypothesis t =
       let targets = Array.make n 0 in
       let outputs =
         Array.init n (fun i ->
-            match suffix_output t u [ t.inputs.(i) ] with
+            match suffix_output t u [ i ] with
             | [ o ] -> o
             | _ -> assert false)
       in
       for i = 0 to n - 1 do
-        let target = (sift t t.root (u @ [ t.inputs.(i) ])).id in
+        let target = (sift t t.root (u @ [ i ])).id in
         targets.(i) <- target;
         if not (Hashtbl.mem enqueued target) then begin
           Hashtbl.add enqueued target ();
@@ -139,9 +144,10 @@ let find_leaf_id t access =
 
 let refine t cex =
   let h, access_of = hypothesis t in
+  let p = Mealy.pack h in
   let sul_out = t.mq.Oracle.ask cex in
-  let hyp_out = Mealy.run h cex in
-  if sul_out = hyp_out then false
+  let hyp_out = Mealy.Packed.run p cex in
+  if Oracle.same_answer sul_out hyp_out then false
   else begin
     let n = List.length cex in
     (* phi i = hypothesis outputs on cex[:i] followed by the SUL's
@@ -154,9 +160,9 @@ let refine t cex =
       | Some v -> v
       | None ->
           let prefix = take i cex and suffix = drop i cex in
-          let state = Mealy.state_after h prefix in
+          let state = Mealy.Packed.state_after p prefix in
           let v =
-            Mealy.run h prefix @ suffix_output t (access_of state) suffix
+            Mealy.Packed.run p prefix @ suffix_output t (access_of state) suffix
           in
           Hashtbl.add memo i v;
           v
@@ -164,7 +170,8 @@ let refine t cex =
     let lo = ref 0 and hi = ref n in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
-      if phi mid <> phi !hi then lo := mid else hi := mid
+      if not (Oracle.same_answer (phi mid) (phi !hi)) then lo := mid
+      else hi := mid
     done;
     let i = !lo in
     let u = take i cex and rest = drop i cex in
@@ -173,13 +180,13 @@ let refine t cex =
     | a :: v ->
         if v = [] then false
         else begin
-          let q_i = Mealy.state_after h u in
-          let q' = fst (Mealy.step h q_i a) in
+          let q_i = Mealy.Packed.state_after p u in
+          let q' = Mealy.Packed.next p q_i a in
           let old_access = access_of q' in
           let new_access = access_of q_i @ [ a ] in
           let out_old = suffix_output t old_access v in
           let out_new = suffix_output t new_access v in
-          if out_old = out_new then false
+          if Oracle.same_answer out_old out_new then false
           else begin
             (* Split the leaf of q': its cell becomes an inner node
                discriminating with v between the old and the new state. *)
@@ -235,7 +242,7 @@ let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
             Trace.with_span
               ~attrs:[ ("phase", Jsonx.String "eq-oracle") ]
               "learner.eq_query"
-              (fun () -> eq mq h)
+              (fun () -> eq t.mq h)
           in
           (h, cex))
     in

@@ -16,12 +16,17 @@
 type ('i, 'o) state
 
 val create : inputs:'i array -> ('i, 'o) Oracle.membership -> ('i, 'o) state
+(** The learner works in position words over [inputs], which may order
+    or subset the oracle's alphabet ({!Oracle.over} translates
+    positions once).
+    @raise Invalid_argument on an empty alphabet or an input outside
+    the oracle's alphabet, before the first query. *)
 val hypothesis : ('i, 'o) state -> ('i, 'o) Prognosis_automata.Mealy.t
 
-val refine : ('i, 'o) state -> 'i list -> bool
-(** Processes a counterexample; returns false when the word did not
-    actually distinguish the SUL from the hypothesis (stale
-    counterexample), true when a state was split. *)
+val refine : ('i, 'o) state -> int list -> bool
+(** Processes a counterexample position word; returns false when the
+    word did not actually distinguish the SUL from the hypothesis
+    (stale counterexample), true when a state was split. *)
 
 val leaves : ('i, 'o) state -> int
 (** Current number of discrimination-tree leaves (= hypothesis states). *)

@@ -73,7 +73,9 @@ let create ?profile ?client_config ?(network = Network.reliable) ~seed () =
         in
         absorb [] [] delivered
   in
-  (Adapter.create ~description:"quic" ~reset ~step (), client)
+  ( Adapter.create ~description:"quic" ~inputs:Quic_alphabet.extended ~reset
+      ~step (),
+    client )
 
 let sul ?profile ?client_config ?network ~seed () =
   Adapter.to_sul (fst (create ?profile ?client_config ?network ~seed ()))

@@ -31,10 +31,7 @@ let profile_of_name name =
 
 let tcp name server_config =
   let module A = Prognosis_tcp.Tcp_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
+  let wrap = Sul.relabel ~input:A.to_string ~output:A.output_to_string in
   {
     name;
     kind = Persist.Tcp_model;
@@ -56,10 +53,7 @@ let tcp name server_config =
 
 let dtls name server_config =
   let module A = Prognosis_dtls.Dtls_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
+  let wrap = Sul.relabel ~input:A.to_string ~output:A.output_to_string in
   {
     name;
     kind = Persist.Dtls_model;
@@ -81,10 +75,7 @@ let dtls name server_config =
 
 let quic name profile =
   let module A = Prognosis_quic.Quic_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
+  let wrap = Sul.relabel ~input:A.to_string ~output:A.output_to_string in
   {
     name;
     kind = Persist.Quic_model;

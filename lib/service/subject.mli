@@ -2,7 +2,8 @@
 
     A subject names one live endpoint configuration the toolchain can
     both probe (an {!Prognosis_exec.Engine} worker factory over the
-    string-level SUL view) and learn in full, through its case study
+    typed SUL relabelled with names, {!Prognosis_sul.Sul.relabel}) and
+    learn in full, through its case study
     or, at the string level, through {!Prognosis_exec.Engine.learn}
     with the study's equivalence oracle.
     This used to live inside the CLI; the fleet scheduler

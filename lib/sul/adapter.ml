@@ -1,12 +1,13 @@
 type ('ai, 'ao, 'ci, 'co) t = {
+  inputs : 'ai array;
   reset : unit -> unit;
   step : 'ai -> 'ao * 'ci list * 'co list;
   table : ('ai, 'ao, 'ci, 'co) Oracle_table.t;
   description : string;
 }
 
-let create ?(description = "adapter") ~reset ~step () =
-  { reset; step; table = Oracle_table.create (); description }
+let create ?(description = "adapter") ~inputs ~reset ~step () =
+  { inputs; reset; step; table = Oracle_table.create (); description }
 
 let query t word =
   t.reset ();
@@ -29,8 +30,8 @@ let query t word =
   outputs
 
 let to_sul t =
-  Sul.make ~description:t.description ~reset:t.reset
-    ~step:(fun a ->
-      let o, _, _ = t.step a in
+  Sul.make ~description:t.description ~inputs:t.inputs ~reset:t.reset
+    ~step:(fun i ->
+      let o, _, _ = t.step t.inputs.(i) in
       o)
     ()

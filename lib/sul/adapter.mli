@@ -11,6 +11,7 @@
     share. *)
 
 type ('ai, 'ao, 'ci, 'co) t = {
+  inputs : 'ai array;  (** the abstract input alphabet *)
   reset : unit -> unit;
       (** property (3): return reference and target to their initial state *)
   step : 'ai -> 'ao * 'ci list * 'co list;
@@ -23,6 +24,7 @@ type ('ai, 'ao, 'ci, 'co) t = {
 
 val create :
   ?description:string ->
+  inputs:'ai array ->
   reset:(unit -> unit) ->
   step:('ai -> 'ao * 'ci list * 'co list) ->
   unit ->
@@ -36,8 +38,9 @@ val query : ('ai, 'ao, 'ci, 'co) t -> 'ai list -> 'ao list
     never the learner's membership queries. *)
 
 val to_sul : ('ai, 'ao, 'ci, 'co) t -> ('ai, 'ao) Sul.t
-(** The learner's view: each step runs the adapter's [step] and drops
-    the concrete packets; nothing is recorded. Answers are those of
+(** The learner's view over the adapter's alphabet: step [i] runs the
+    adapter's [step] on [inputs.(i)] and drops the concrete packets;
+    nothing is recorded. Answers are those of
     {!query}. The protocol [sul] constructors ([Tcp_adapter.sul],
     [Dtls_adapter.sul], [Quic_adapter.sul], [Tcp_client_study.sul])
     are this view of a fresh adapter; they back every learn (the

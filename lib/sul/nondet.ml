@@ -26,7 +26,7 @@ let m_runs = Metrics.counter Metrics.default "nondet.sul_runs"
 let m_retries = Metrics.counter Metrics.default "nondet.retries"
 let m_nondet = Metrics.counter Metrics.default "nondet.nondeterministic"
 
-let query cfg sul word =
+let query_positions cfg sul word =
   if cfg.min_runs < 1 then invalid_arg "Nondet.query: min_runs must be >= 1";
   Metrics.inc m_checks;
   let answers = ref [] in
@@ -77,7 +77,10 @@ let query cfg sul word =
         Nondeterministic obs
   end
 
+let query cfg sul word = query_positions cfg sul (Sul.encode sul word)
+
 let distribution ~runs sul word =
+  let word = Sul.encode sul word in
   let answers = List.init runs (fun _ -> Sul.query sul word) in
   tally answers
 
@@ -91,16 +94,19 @@ let frequency obs pred =
 exception Nondeterministic_sul of string
 
 let deterministic_query cfg ~pp sul word =
-  match query cfg sul word with
+  match query_positions cfg sul word with
   | Deterministic answer -> answer
   | Nondeterministic obs ->
       let variants = List.length obs in
       raise
         (Nondeterministic_sul
-           (Printf.sprintf "query %s produced %d distinct answers" (pp word) variants))
+           (Printf.sprintf "query %s produced %d distinct answers"
+              (pp (List.map (fun i -> sul.Sul.inputs.(i)) word))
+              variants))
 
 let plurality_query ~runs sul word =
   if runs < 1 then invalid_arg "Nondet.plurality_query: runs must be >= 1";
+  let word = Sul.encode sul word in
   let answers = List.init runs (fun _ -> Sul.query sul word) in
   match tally answers with
   | best :: _ -> best.answer

@@ -7,7 +7,12 @@
     until either one answer reaches the required agreement fraction or
     the run budget is exhausted, in which case the query is reported as
     genuinely nondeterministic — itself a powerful analysis: this is
-    how the paper found the mvfst connection-closure bug. *)
+    how the paper found the mvfst connection-closure bug.
+
+    {!query}, {!distribution} and {!plurality_query} take symbol words
+    (analysis entry points); {!deterministic_query} and
+    {!modal_oracle} are membership functions and take position words
+    (see {!Sul}). *)
 
 type config = {
   min_runs : int;  (** runs always performed (≥ 1) *)
@@ -40,8 +45,9 @@ exception Nondeterministic_sul of string
     agreement threshold. The payload describes the query. *)
 
 val deterministic_query :
-  config -> pp:('i list -> string) -> ('i, 'o) Sul.t -> 'i list -> 'o list
-(** Majority answer under [config].
+  config -> pp:('i list -> string) -> ('i, 'o) Sul.t -> int list -> 'o list
+(** Majority answer under [config] for a position word; [pp] renders
+    the decoded symbol word in the failure message.
     @raise Nondeterministic_sul when the check fails. *)
 
 val plurality_query : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o list
@@ -50,7 +56,7 @@ val plurality_query : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o list
     prefix-consistent across separate calls; learners should use
     {!modal_oracle} instead. *)
 
-val modal_oracle : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o list
+val modal_oracle : runs:int -> ('i, 'o) Sul.t -> int list -> 'o list
 (** A memoized, prefix-consistent query function approximating the
     SUL's *modal* Mealy machine: the answer for a word extends the
     (previously computed) answer of its longest proper prefix by the

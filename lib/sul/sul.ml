@@ -1,40 +1,48 @@
 type ('i, 'o) t = {
+  inputs : 'i array;
   reset : unit -> unit;
-  step : 'i -> 'o;
+  step : int -> 'o;
   description : string;
 }
 
-let make ?(description = "sul") ~reset ~step () = { reset; step; description }
+let make ?(description = "sul") ~inputs ~reset ~step () =
+  { inputs; reset; step; description }
 
 let query sul word =
   sul.reset ();
   List.map sul.step word
 
+let encode sul word =
+  let index x =
+    try Prognosis_automata.Mealy.position sul.inputs x
+    with Not_found ->
+      invalid_arg
+        (Printf.sprintf "Sul.encode: a symbol is not in the %s alphabet"
+           sul.description)
+  in
+  List.map index word
+
+let run sul word = query sul (encode sul word)
+
 let of_mealy m =
-  let state = ref (Prognosis_automata.Mealy.initial m) in
+  let module Mealy = Prognosis_automata.Mealy in
+  let state = ref (Mealy.initial m) in
   {
-    reset = (fun () -> state := Prognosis_automata.Mealy.initial m);
+    inputs = Mealy.inputs m;
+    reset = (fun () -> state := Mealy.initial m);
     step =
-      (fun x ->
-        let s', o = Prognosis_automata.Mealy.step m !state x in
-        state := s';
-        o);
+      (fun i ->
+        let s = !state in
+        state := m.Mealy.delta.(s).(i);
+        m.Mealy.lambda.(s).(i));
     description = "mealy";
   }
 
-let strings ~symbols ~to_string ~output_to_string sul =
-  let table = Hashtbl.create 16 in
-  Array.iter (fun s -> Hashtbl.replace table (to_string s) s) symbols;
+let relabel ~input ~output sul =
   {
+    inputs = Array.map input sul.inputs;
     reset = sul.reset;
-    step =
-      (fun name ->
-        match Hashtbl.find_opt table name with
-        | Some sym -> output_to_string (sul.step sym)
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Sul.strings: input %S is not in the %s alphabet"
-                 name sul.description));
+    step = (fun i -> output (sul.step i));
     description = sul.description;
   }
 

@@ -53,7 +53,7 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
     let output = List.filter_map Tcp_alphabet.abstract received in
     (output, [ request ], received)
   in
-  Adapter.create ~description:"tcp" ~reset ~step ()
+  Adapter.create ~description:"tcp" ~inputs:Tcp_alphabet.all ~reset ~step ()
 
 let sul ?server_config ?network ~seed () =
   Adapter.to_sul (create ?server_config ?network ~seed ())

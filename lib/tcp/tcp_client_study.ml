@@ -185,6 +185,6 @@ let adapter ?(network = Network.reliable) ~seed () =
         List.iter (peer_absorb peer) received;
         (List.filter_map Tcp_alphabet.abstract received, [ request ], received)
   in
-  Adapter.create ~description:"tcp-client" ~reset ~step ()
+  Adapter.create ~description:"tcp-client" ~inputs:all ~reset ~step ()
 
 let sul ?network ~seed () = Adapter.to_sul (adapter ?network ~seed ())

@@ -267,10 +267,10 @@ let stochastic_deterministic_sul () =
 let flaky_mealy_sul rng =
   (* Behaves like m1 except state 1 on 'a' outputs "z" 70% / "Z" 30%. *)
   let state = ref 0 in
-  Prognosis_sul.Sul.make
+  Prognosis_sul.Sul.make ~inputs:(Prognosis_automata.Mealy.inputs m1)
     ~reset:(fun () -> state := 0)
-    ~step:(fun x ->
-      let s', o = Prognosis_automata.Mealy.step m1 !state x in
+    ~step:(fun i ->
+      let s', o = Prognosis_automata.Mealy.step_idx m1 !state i in
       state := s';
       if o = "z" && Prognosis_sul.Rng.bool rng 0.3 then "Z" else o)
     ()
@@ -316,7 +316,7 @@ let stochastic_issue2_end_to_end () =
      random equivalence oracle keeps the total query count low enough
      that no misjudgment is expected over the whole run. *)
   let mq =
-    Prognosis_learner.Oracle.of_fun
+    Prognosis_learner.Oracle.of_fun ~inputs:sul.Prognosis_sul.Sul.inputs
       (Prognosis_sul.Nondet.modal_oracle ~runs:41 sul)
   in
   let rng = Prognosis_sul.Rng.create 5L in

@@ -139,11 +139,11 @@ let access_words_reach () =
   Array.iteri
     (fun s w ->
       Alcotest.(check int) (Printf.sprintf "access to %d" s) s
-        (Mealy.state_after counter3 w))
+        (Mealy.state_after counter3 (Mealy.decode counter3 w)))
     words
 
 let characterizing_set_separates () =
-  let w = Mealy.characterizing_set counter3 in
+  let w = List.map (Mealy.decode counter3) (Mealy.characterizing_set counter3) in
   for p = 0 to 2 do
     for q = p + 1 to 2 do
       Alcotest.(check bool)
@@ -221,12 +221,15 @@ let transition_cover_size () =
 let state_cover_reaches_all () =
   let cover = Testing.state_cover counter3 in
   Alcotest.(check int) "3 words" 3 (List.length cover);
-  let states = List.sort_uniq compare (List.map (Mealy.state_after counter3) cover) in
+  let states =
+    List.sort_uniq compare
+      (List.map (fun w -> Mealy.state_after counter3 (Mealy.decode counter3 w)) cover)
+  in
   Alcotest.(check (list int)) "all states" [ 0; 1; 2 ] states
 
 let middle_words_counts () =
-  Alcotest.(check int) "len<=0" 1 (List.length (Testing.middle_words [| 'a'; 'b' |] 0));
-  Alcotest.(check int) "len<=2" 7 (List.length (Testing.middle_words [| 'a'; 'b' |] 2))
+  Alcotest.(check int) "len<=0" 1 (List.length (Testing.middle_words 2 0));
+  Alcotest.(check int) "len<=2" 7 (List.length (Testing.middle_words 2 2))
 
 let w_method_catches_mutant () =
   (* Mutate one output of counter3 and check the suite detects it. *)
@@ -235,7 +238,7 @@ let w_method_catches_mutant () =
       ~delta:[| [| 1; 0 |]; [| 2; 0 |]; [| 0; 0 |] |]
       ~lambda:[| [| "0"; "r" |]; [| "1"; "r" |]; [| "2"; "X" |] |]
   in
-  let suite = Testing.w_method counter3 in
+  let suite = List.map (Mealy.decode counter3) (Testing.w_method counter3) in
   Alcotest.(check bool) "suite kills mutant" true
     (List.exists (fun w -> Mealy.run counter3 w <> Mealy.run mutant w) suite)
 
@@ -245,7 +248,9 @@ let wp_method_kills_mutant () =
       ~delta:[| [| 1; 0 |]; [| 2; 0 |]; [| 0; 0 |] |]
       ~lambda:[| [| "0"; "r" |]; [| "1"; "r" |]; [| "2"; "X" |] |]
   in
-  let suite = Testing.wp_method ~extra_states:1 counter3 in
+  let suite =
+    List.map (Mealy.decode counter3) (Testing.wp_method ~extra_states:1 counter3)
+  in
   Alcotest.(check bool) "suite kills mutant" true
     (List.exists (fun w -> Mealy.run counter3 w <> Mealy.run mutant w) suite);
   Alcotest.(check int) "no duplicates" (List.length suite)
@@ -310,7 +315,7 @@ let prop_w_method_sound =
   QCheck2.Test.make ~count:100 ~name:"w-method suite words run without error"
     gen_mealy
     (fun m ->
-      let suite = Testing.w_method m in
+      let suite = List.map (Mealy.decode m) (Testing.w_method m) in
       List.for_all (fun w -> List.length (Mealy.run m w) = List.length w) suite)
 
 let () =

@@ -96,7 +96,7 @@ let crypto_directions_differ () =
 
 let run_word seed word =
   let sul = Dtls_adapter.sul ~seed () in
-  List.map Dtls_alphabet.output_to_string (Sul.query sul word)
+  List.map Dtls_alphabet.output_to_string (Sul.run sul word)
 
 let full_handshake () =
   let out =
@@ -153,7 +153,7 @@ let early_ccs_ignored_when_lenient () =
   in
   let out =
     List.map Dtls_alphabet.output_to_string
-      (Sul.query sul Dtls_alphabet.[ Client_hello; Client_hello; Change_cipher_spec ])
+      (Sul.run sul Dtls_alphabet.[ Client_hello; Client_hello; Change_cipher_spec ])
   in
   Alcotest.(check string) "silently dropped" "NIL" (List.nth out 2)
 
@@ -164,7 +164,7 @@ let no_cookie_config_skips_hvr () =
       ~seed:11L ()
   in
   let out =
-    List.map Dtls_alphabet.output_to_string (Sul.query sul [ Dtls_alphabet.Client_hello ])
+    List.map Dtls_alphabet.output_to_string (Sul.run sul [ Dtls_alphabet.Client_hello ])
   in
   Alcotest.(check (list string)) "direct flight"
     [ "{SERVER_HELLO,CERTIFICATE,SERVER_HELLO_DONE}" ]

@@ -33,15 +33,20 @@ let lock =
         [| "in"; "in" |];
       |]
 
+(* Oracles are asked position words; the tests write symbols. *)
+let ask_symbols (mq : _ Oracle.membership) word =
+  mq.Oracle.ask (List.map (Mealy.position mq.Oracle.inputs) word)
+
+(* A random position word over [inputs]. *)
 let random_word rng inputs max_len =
   let len = Rng.int rng (max_len + 1) in
-  List.init len (fun _ -> inputs.(Rng.int rng (Array.length inputs)))
+  List.init len (fun _ -> Rng.int rng (Array.length inputs))
 
 (* --- planner --- *)
 
 let plan_dedup_and_subsume () =
   let p =
-    Plan.build [ [ 'a'; 'b' ]; [ 'a' ]; [ 'a'; 'b' ]; [ 'c' ] ]
+    Plan.build ~compare [ [ 'a'; 'b' ]; [ 'a' ]; [ 'a'; 'b' ]; [ 'c' ] ]
   in
   Alcotest.(check (list (list char))) "maximal runs"
     [ [ 'a'; 'b' ]; [ 'c' ] ] p.Plan.runs;
@@ -54,19 +59,19 @@ let plan_dedup_and_subsume () =
   Alcotest.(check int) "baseline steps" 3 p.Plan.baseline_steps
 
 let plan_orders_for_sharing () =
-  let p = Plan.build [ [ 'b' ]; [ 'a'; 'a' ]; [ 'a' ]; [ 'a'; 'b' ] ] in
+  let p = Plan.build ~compare [ [ 'b' ]; [ 'a'; 'a' ]; [ 'a' ]; [ 'a'; 'b' ] ] in
   (* Lexicographic order keeps words sharing a prefix adjacent and
      drops [a] (prefix of its successor). *)
   Alcotest.(check (list (list char))) "sorted maximal"
     [ [ 'a'; 'a' ]; [ 'a'; 'b' ]; [ 'b' ] ] p.Plan.runs
 
 let plan_empty () =
-  let p = Plan.build [] in
+  let p = Plan.build ~compare [] in
   Alcotest.(check (list (list char))) "no runs" [] p.Plan.runs;
   Alcotest.(check int) "no words" 0 p.Plan.words
 
 let plan_all_duplicates () =
-  let p = Plan.build [ [ 'x' ]; [ 'x' ]; [ 'x' ] ] in
+  let p = Plan.build ~compare [ [ 'x' ]; [ 'x' ]; [ 'x' ] ] in
   Alcotest.(check (list (list char))) "one run" [ [ 'x' ] ] p.Plan.runs;
   Alcotest.(check int) "dupes" 2 p.Plan.dupes;
   Alcotest.(check int) "one baseline reset" 1 p.Plan.baseline_resets
@@ -79,9 +84,9 @@ let engine_for ?(config = Engine.default) m =
 let resume_skips_reset () =
   let e = engine_for counter3 in
   let mq = Engine.membership e in
-  Alcotest.(check (list string)) "first" [ "0" ] (mq.Oracle.ask [ 'a' ]);
+  Alcotest.(check (list string)) "first" [ "0" ] (ask_symbols mq [ 'a' ]);
   Alcotest.(check (list string)) "extension" [ "0"; "1" ]
-    (mq.Oracle.ask [ 'a'; 'a' ]);
+    (ask_symbols mq [ 'a'; 'a' ]);
   let s = Engine.stats e in
   Alcotest.(check int) "one resumed run" 1 s.Engine.resumed;
   (* The second run skipped its reset and replayed only the suffix. *)
@@ -94,9 +99,9 @@ let resume_skips_reset () =
 let sequential_never_resumes () =
   let e = engine_for ~config:Engine.sequential counter3 in
   let mq = Engine.membership e in
-  ignore (mq.Oracle.ask [ 'a' ]);
+  ignore (ask_symbols mq [ 'a' ]);
   Alcotest.(check (list string)) "extension" [ "0"; "1" ]
-    (mq.Oracle.ask [ 'a'; 'a' ]);
+    (ask_symbols mq [ 'a'; 'a' ]);
   let s = Engine.stats e in
   Alcotest.(check int) "no resumed run" 0 s.Engine.resumed;
   Alcotest.(check int) "two resets" 2 s.Engine.resets;
@@ -105,8 +110,8 @@ let sequential_never_resumes () =
 let baseline_counts_cache_hits () =
   let e = engine_for counter3 in
   let mq = Engine.membership e in
-  ignore (mq.Oracle.ask [ 'a'; 'b' ]);
-  ignore (mq.Oracle.ask [ 'a' ]);
+  ignore (ask_symbols mq [ 'a'; 'b' ]);
+  ignore (ask_symbols mq [ 'a' ]);
   (* cache hit: no run *)
   let s = Engine.stats e in
   Alcotest.(check int) "baseline resets" 2 s.Engine.baseline_resets;
@@ -201,7 +206,8 @@ let pooled_learning_equivalent () =
 let adversarial_worker_quarantined () =
   let liar () =
     let honest = Sul.of_mealy lock in
-    Sul.make ~description:"liar" ~reset:honest.Sul.reset
+    Sul.make ~description:"liar" ~inputs:honest.Sul.inputs
+      ~reset:honest.Sul.reset
       ~step:(fun x ->
         ignore (honest.Sul.step x);
         "LIE")
@@ -241,11 +247,13 @@ let no_majority_raises () =
   let e =
     Engine.create ~config
       ~factory:(fun i ->
-        Sul.make ~reset:(fun () -> ()) ~step:(fun _ -> string_of_int i) ())
+        Sul.make ~inputs:[| 'a' |] ~reset:(fun () -> ())
+          ~step:(fun _ -> string_of_int i)
+          ())
       ()
   in
   let mq = Engine.membership e in
-  match mq.Oracle.ask [ 'a' ] with
+  match ask_symbols mq [ 'a' ] with
   | _ -> Alcotest.fail "expected Nondeterministic_sul"
   | exception Nondet.Nondeterministic_sul _ -> ()
 
@@ -255,7 +263,7 @@ let replicas_agreeing () =
   let e = engine_for ~config counter3 in
   let mq = Engine.membership e in
   Alcotest.(check (list string)) "answer" [ "0"; "1"; "2" ]
-    (mq.Oracle.ask [ 'a'; 'a'; 'a' ]);
+    (ask_symbols mq [ 'a'; 'a'; 'a' ]);
   let s = Engine.stats e in
   Alcotest.(check int) "extra replica run" 1 s.Engine.vote_runs;
   Alcotest.(check int) "no disagreement" 0 s.Engine.disagreements
@@ -281,9 +289,9 @@ let freeze_thaw_roundtrip () =
   let config = { Engine.default with Engine.workers = 3 } in
   let e = engine_for ~config counter3 in
   let mq = Engine.membership e in
-  ignore (mq.Oracle.ask [ 'a' ]);
-  ignore (mq.Oracle.ask [ 'b' ]);
-  ignore (mq.Oracle.ask [ 'a'; 'a' ]);
+  ignore (ask_symbols mq [ 'a' ]);
+  ignore (ask_symbols mq [ 'b' ]);
+  ignore (ask_symbols mq [ 'a'; 'a' ]);
   let blob = Engine.freeze e in
   let e' = engine_for ~config counter3 in
   Engine.thaw e' blob;
@@ -310,16 +318,16 @@ let external_cache_short_circuits () =
   (* A pre-warmed cache (a checkpoint session's) answers without
      touching the pool — the mechanism behind crash-free resume. *)
   let cache = Prognosis_learner.Cache.create () in
-  Prognosis_learner.Cache.insert cache [ 'a'; 'a' ] [ "0"; "1" ];
+  Prognosis_learner.Cache.insert cache [ 0; 0 ] [ "0"; "1" ];
   let e =
     Engine.create ~cache ~factory:(fun _ -> Sul.of_mealy counter3) ()
   in
   let mq = Engine.membership e in
   Alcotest.(check (list string)) "cached answer" [ "0"; "1" ]
-    (mq.Oracle.ask [ 'a'; 'a' ]);
+    (ask_symbols mq [ 'a'; 'a' ]);
   Alcotest.(check int) "no pool run" 0 (Engine.stats e).Engine.runs;
   Alcotest.(check (list string)) "uncached answer" [ "0"; "r" ]
-    (mq.Oracle.ask [ 'a'; 'b' ]);
+    (ask_symbols mq [ 'a'; 'b' ]);
   Alcotest.(check int) "one pool run" 1 (Engine.stats e).Engine.runs
 
 (* --- end-to-end: the TCP study through the pool --- *)

@@ -353,6 +353,68 @@ let identify_goldens () =
         (r.Identify.confirm_words > 0))
     goldens
 
+(* A library whose model files list the inputs in another order than
+   the endpoint's SUL: tree words are positions over the library's
+   alphabet, and [Identify.run] translates them into the SUL's, so the
+   verdict and every word count equal those against a SUL listing the
+   library's own order. The verdict also equals the original library's;
+   its counts may not, since a characterizing set depends on the order
+   it explores inputs in. *)
+let reversed m =
+  let inputs = Array.of_list (List.rev (Array.to_list (Mealy.inputs m))) in
+  Mealy.of_fun ~size:(Mealy.size m) ~initial:(Mealy.initial m) ~inputs
+    ~step:(Mealy.step m)
+
+let reversed_file ~kind m =
+  let text =
+    Persist.text_of_model ~kind ~input_to_string:Fun.id ~output_to_string:Fun.id
+      (reversed m)
+  in
+  match Persist.parse_text ~path:"reversed.model" kind text with
+  | Ok m -> m
+  | Error e -> Alcotest.fail (Persist.load_error_to_string e)
+
+let identify_reordered_library () =
+  let counts (r : Identify.result) =
+    ( outcome_name r.Identify.outcome,
+      [
+        r.Identify.words_asked;
+        r.Identify.symbols_asked;
+        r.Identify.walk_words;
+        r.Identify.confirm_words;
+      ] )
+  in
+  let identify tree m = Identify.run ~mq:(mq_of m) tree in
+  let check what entries models =
+    let reordered =
+      List.map
+        (fun (e : Library.entry) ->
+          Library.entry_of_model ~name:e.name ~kind:e.kind
+            (reversed_file ~kind:e.kind e.model))
+        entries
+    in
+    let tree = build_exn entries and tree' = build_exn reordered in
+    List.iter
+      (fun m ->
+        let r = identify tree' m in
+        Alcotest.(check (pair string (list int)))
+          (what ^ ": translated = library order")
+          (counts (identify tree' (reversed m)))
+          (counts r);
+        Alcotest.(check string)
+          (what ^ ": verdict of the original library")
+          (outcome_name (identify tree m).Identify.outcome)
+          (outcome_name r.Identify.outcome))
+      models
+  in
+  List.iter
+    (fun g ->
+      let e = load_golden g in
+      check e.Library.name [ e ] [ e.Library.model ])
+    goldens;
+  check "x/y library" (entries ())
+    [ m_base; m_deep; m_shallow; counter_model 5 ]
+
 let identify_mutant_then_extend () =
   let tcp = load_golden (List.hd goldens) in
   let tree = build_exn [ tcp ] in
@@ -493,6 +555,8 @@ let () =
           Alcotest.test_case "goldens are Known" `Quick identify_goldens;
           Alcotest.test_case "mutant is Novel then extends" `Quick
             identify_mutant_then_extend;
+          Alcotest.test_case "reordered library inputs" `Quick
+            identify_reordered_library;
         ] );
       ( "library",
         [

@@ -29,6 +29,10 @@ let lock =
       |]
 
 let mq_for m = Oracle.of_sul (Sul.of_mealy m)
+
+(* Oracles are asked position words; the tests write symbols. *)
+let ask_symbols (mq : _ Oracle.membership) word =
+  mq.Oracle.ask (List.map (Mealy.position mq.Oracle.inputs) word)
 let perfect m : ('a, 'b) Oracle.equivalence = Eq_oracle.against m
 
 let learn_and_check name algorithm target =
@@ -62,74 +66,83 @@ let single_state () =
 
 (* --- cache --- *)
 
+(* Cached words are position words: 0, 1, 2 stand for a, b, c. *)
 let cache_prefix_answers () =
   let c = Cache.create () in
-  Cache.insert c [ 'a'; 'b'; 'c' ] [ 1; 2; 3 ];
+  Cache.insert c [ 0; 1; 2 ] [ 1; 2; 3 ];
   Alcotest.(check (option (list int))) "full" (Some [ 1; 2; 3 ])
-    (Cache.lookup c [ 'a'; 'b'; 'c' ]);
+    (Cache.lookup c [ 0; 1; 2 ]);
   Alcotest.(check (option (list int))) "prefix" (Some [ 1; 2 ])
-    (Cache.lookup c [ 'a'; 'b' ]);
+    (Cache.lookup c [ 0; 1 ]);
   Alcotest.(check (option (list int))) "empty" (Some []) (Cache.lookup c []);
-  Alcotest.(check (option (list int))) "miss" None (Cache.lookup c [ 'a'; 'z' ])
+  Alcotest.(check (option (list int))) "miss" None (Cache.lookup c [ 0; 9 ])
 
-let cache_longest_prefix () =
+(* A miss below a cached prefix is one trie walk: the fresh answer is
+   inserted, and an answer that contradicts the cached prefix raises
+   from [insert] through the view — leaving the cache as it was. *)
+let cache_conflict_below_prefix () =
+  let inputs = [| 'a'; 'b'; 'c'; 'd' |] in
+  let answer = ref (fun w -> List.map (fun _ -> 0) w) in
+  let mq = Oracle.of_fun ~inputs (fun w -> !answer w) in
   let c = Cache.create () in
-  Cache.insert c [ 'a'; 'b'; 'c' ] [ 1; 2; 3 ];
-  Alcotest.(check (option (pair (list char) (list int))))
-    "partial" (Some ([ 'a'; 'b'; 'c' ], [ 1; 2; 3 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'b'; 'c'; 'd'; 'e' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "diverging suffix" (Some ([ 'a' ], [ 1 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'z' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "exact word" (Some ([ 'a'; 'b'; 'c' ], [ 1; 2; 3 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'b'; 'c' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "cold" None (Cache.lookup_longest_prefix c [ 'z' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "empty word" None (Cache.lookup_longest_prefix c [])
+  let cached = Cache.wrap c mq in
+  ignore (ask_symbols cached [ 'a'; 'b'; 'c' ]);
+  answer := (fun w -> List.mapi (fun i _ -> if i = 1 then 7 else 0) w);
+  Alcotest.check_raises "conflict below the prefix"
+    (Invalid_argument "Cache.insert: conflicting outputs (nondeterministic SUL?)")
+    (fun () -> ignore (ask_symbols cached [ 'a'; 'b'; 'd' ]));
+  Alcotest.(check int) "both reached the oracle" 2
+    mq.Oracle.stats.membership_queries;
+  Alcotest.(check int) "the miss is counted" 2 (Cache.misses c);
+  Alcotest.(check (option (list int))) "nothing inserted" None
+    (Cache.lookup c [ 0; 1; 3 ]);
+  Alcotest.(check (list (pair (list char) (list int)))) "cache unchanged"
+    [ ([ 'a'; 'b'; 'c' ], [ 0; 0; 0 ]) ]
+    (Cache.dump c)
 
 (* A miss extending a cached word replays in full, and the fresh
    prefix outputs must agree with the cached ones — otherwise the SUL
    is nondeterministic and the wrap says so. *)
 let wrap_checks_prefix_replay () =
   let asked = ref [] in
+  let inputs = [| 'a'; 'b'; 'c' |] in
   let mq =
-    Oracle.of_fun (fun w ->
+    Oracle.of_fun ~inputs (fun w ->
         asked := w :: !asked;
         List.mapi (fun i _ -> i) w)
   in
   let c = Cache.create () in
   let cached = Cache.wrap c mq in
-  Alcotest.(check (list int)) "first" [ 0; 1 ] (cached.Oracle.ask [ 'a'; 'b' ]);
+  Alcotest.(check (list int)) "first" [ 0; 1 ]
+    (ask_symbols cached [ 'a'; 'b' ]);
   Alcotest.(check (list int)) "extension" [ 0; 1; 2 ]
-    (cached.Oracle.ask [ 'a'; 'b'; 'c' ]);
-  Alcotest.(check (list (list char))) "both reached the oracle"
-    [ [ 'a'; 'b'; 'c' ]; [ 'a'; 'b' ] ] !asked;
+    (ask_symbols cached [ 'a'; 'b'; 'c' ]);
+  Alcotest.(check (list (list int))) "both reached the oracle"
+    [ [ 0; 1; 2 ]; [ 0; 1 ] ] !asked;
   (* A lying oracle whose fresh replay contradicts the cached prefix is
      caught. *)
-  let lying = Oracle.of_fun (fun w -> List.map (fun _ -> 99) w) in
+  let lying = Oracle.of_fun ~inputs (fun w -> List.map (fun _ -> 99) w) in
   let c2 = Cache.create () in
-  Cache.insert c2 [ 'a' ] [ 1 ];
+  Cache.insert c2 [ 0 ] [ 1 ];
   let cached2 = Cache.wrap c2 lying in
   Alcotest.check_raises "prefix conflict"
     (Invalid_argument "Cache.insert: conflicting outputs (nondeterministic SUL?)")
-    (fun () -> ignore (cached2.Oracle.ask [ 'a'; 'b' ]))
+    (fun () -> ignore (ask_symbols cached2 [ 'a'; 'b' ]))
 
 let cache_detects_conflict () =
   let c = Cache.create () in
-  Cache.insert c [ 'a' ] [ 1 ];
+  Cache.insert c [ 0 ] [ 1 ];
   Alcotest.check_raises "conflict"
     (Invalid_argument "Cache.insert: conflicting outputs (nondeterministic SUL?)")
-    (fun () -> Cache.insert c [ 'a'; 'b' ] [ 2; 2 ])
+    (fun () -> Cache.insert c [ 0; 1 ] [ 2; 2 ])
 
 let cache_saves_queries () =
   let mq = mq_for counter3 in
   let c = Cache.create () in
   let cached = Cache.wrap c mq in
-  let _ = cached.Oracle.ask [ 'a'; 'a'; 'a' ] in
-  let _ = cached.Oracle.ask [ 'a'; 'a' ] in
-  let _ = cached.Oracle.ask [ 'a'; 'a'; 'a' ] in
+  let _ = ask_symbols cached [ 'a'; 'a'; 'a' ] in
+  let _ = ask_symbols cached [ 'a'; 'a' ] in
+  let _ = ask_symbols cached [ 'a'; 'a'; 'a' ] in
   Alcotest.(check int) "one real query" 1 mq.Oracle.stats.membership_queries;
   Alcotest.(check int) "two hits" 2 (Cache.hits c)
 
@@ -146,8 +159,8 @@ let cached_learning_equivalent () =
 
 let stats_counted () =
   let mq = mq_for counter3 in
-  let _ = mq.Oracle.ask [ 'a'; 'b' ] in
-  let _ = mq.Oracle.ask [ 'a' ] in
+  let _ = ask_symbols mq [ 'a'; 'b' ] in
+  let _ = ask_symbols mq [ 'a' ] in
   Alcotest.(check int) "queries" 2 mq.Oracle.stats.membership_queries;
   Alcotest.(check int) "symbols" 3 mq.Oracle.stats.membership_symbols
 
@@ -169,6 +182,7 @@ let random_words_find_difference () =
   match eq mq mutant with
   | None -> Alcotest.fail "random words should find the mutant"
   | Some w ->
+      let w = Mealy.decode lock w in
       Alcotest.(check bool) "genuine" true (Mealy.run lock w <> Mealy.run mutant w)
 
 let w_method_finds_difference () =
@@ -182,7 +196,7 @@ let random_walk_terminates () =
   let rng = Rng.create 11L in
   let mq = mq_for lock in
   (* Hypothesis equals the SUL: oracle must return None. *)
-  Alcotest.(check (option (list char))) "no cex" None
+  Alcotest.(check (option (list int))) "no cex" None
     (Eq_oracle.random_walk ~rng ~max_tests:200 ~stop_prob:0.2 mq lock)
 
 let exhaustive_finds_difference () =
@@ -195,8 +209,8 @@ let exhaustive_finds_difference () =
 let combine_order () =
   let mq = mq_for counter3 in
   let never _ _ = None in
-  let always _ _ = Some [ 'a' ] in
-  Alcotest.(check (option (list char))) "first hit wins" (Some [ 'a' ])
+  let always _ _ = Some [ 0 ] in
+  Alcotest.(check (option (list int))) "first hit wins" (Some [ 0 ])
     (Eq_oracle.combine [ never; always ] mq counter3)
 
 let shrink_shortens () =
@@ -206,7 +220,10 @@ let shrink_shortens () =
   let cex = [ 'b'; 'a'; 'a'; 'a' ] in
   Alcotest.(check bool) "valid input" true
     (Mealy.run counter3 cex <> Mealy.run mutant cex);
-  let small = Eq_oracle.shrink mq mutant cex in
+  let small =
+    Mealy.decode counter3
+      (Eq_oracle.shrink mq mutant (Mealy.encode counter3 cex))
+  in
   Alcotest.(check bool) "still distinguishes" true
     (Mealy.run counter3 small <> Mealy.run mutant small);
   Alcotest.(check bool) "not longer" true (List.length small <= List.length cex)
@@ -236,7 +253,7 @@ let max_rounds_enforced () =
      counterexample keeps the loop running; max_rounds must stop it. *)
   let target = lock in
   let mq = mq_for target in
-  let eq _mq h = Mealy.equivalent target h in
+  let eq _mq h = Option.map (Mealy.encode h) (Mealy.equivalent target h) in
   (* With a perfect oracle learning converges quickly, so force a tiny
      budget to exercise the failure path on a machine needing >1 round. *)
   match Lstar.learn ~max_rounds:1 ~inputs:(Mealy.inputs target) ~mq ~eq () with
@@ -249,9 +266,10 @@ let ttt_refine_rejects_stale () =
   (* A word on which SUL and hypothesis agree is a stale counterexample. *)
   match Mealy.equivalent (Ttt.hypothesis t) counter3 with
   | None ->
-      Alcotest.(check bool) "stale rejected" false (Ttt.refine t [ 'a' ])
+      Alcotest.(check bool) "stale rejected" false (Ttt.refine t [ 0 ])
   | Some cex ->
-      Alcotest.(check bool) "genuine accepted" true (Ttt.refine t cex)
+      Alcotest.(check bool) "genuine accepted" true
+        (Ttt.refine t (Mealy.encode counter3 cex))
 
 let fixed_words_oracle () =
   let mutant = mutant_of lock in
@@ -261,9 +279,11 @@ let fixed_words_oracle () =
   Alcotest.(check bool) "scenario distinguishes" true
     (Mealy.run lock scenario <> Mealy.run mutant scenario);
   (match Eq_oracle.fixed_words [ scenario ] mq mutant with
-  | Some w -> Alcotest.(check (list char)) "returns the scenario" scenario w
+  | Some w ->
+      Alcotest.(check (list char)) "returns the scenario" scenario
+        (Mealy.decode lock w)
   | None -> Alcotest.fail "scenario oracle must find the difference");
-  Alcotest.(check (option (list char))) "irrelevant scenarios find nothing" None
+  Alcotest.(check (option (list int))) "irrelevant scenarios find nothing" None
     (Eq_oracle.fixed_words [ [ 'b' ]; [] ] mq mutant)
 
 let run_mq_driver () =
@@ -279,6 +299,65 @@ let lstar_table_dimensions () =
   let _ = Lstar.hypothesis t in
   Alcotest.(check bool) "rows >= states" true (Lstar.rows t >= 3);
   Alcotest.(check bool) "columns >= alphabet" true (Lstar.columns t >= 2)
+
+(* --- alphabet order is not identity --- *)
+
+(* A three-symbol machine; [over inputs] is the same machine with its
+   alphabet listed as [inputs] (a permutation or a subset). *)
+let abc =
+  Mealy.of_fun ~size:4 ~initial:0 ~inputs:[| 'a'; 'b'; 'c' |] ~step:(fun s x ->
+      match x with
+      | 'a' -> ((s + 1) mod 4, if s = 3 then "hit" else "a")
+      | 'b' -> (0, "b" ^ string_of_int (s mod 2))
+      | _ -> ((if s = 2 then 3 else s), "c"))
+
+let over inputs m =
+  Mealy.of_fun ~size:(Mealy.size m) ~initial:(Mealy.initial m) ~inputs
+    ~step:(Mealy.step m)
+
+(* Learns over [sul] with learner alphabet [inputs]: the model, the
+   oracle counters and the SUL's resets and steps. *)
+let learn_counted ~inputs sul =
+  let sul, counts = Sul.counting sul in
+  let rng = Rng.create 3L in
+  let eq =
+    Eq_oracle.combine
+      [
+        Eq_oracle.w_method ~extra_states:1 ();
+        Eq_oracle.random_words ~rng ~max_tests:200 ~min_len:1 ~max_len:6;
+      ]
+  in
+  let r = Learn.run ~inputs ~sul ~eq () in
+  let m = r.Learn.model in
+  ( ( Mealy.size m,
+      Mealy.initial m,
+      Mealy.inputs m,
+      m.Mealy.delta,
+      m.Mealy.lambda ),
+    (r.Learn.stats.Oracle.membership_queries, r.Learn.stats.Oracle.test_words),
+    counts () )
+
+(* Learning over a SUL whose alphabet lists the inputs in another
+   order, or lists more of them, asks the same symbol words and learns
+   the same model as over a SUL with exactly the learner's alphabet. *)
+let learner_alphabet_translated () =
+  List.iter
+    (fun inputs ->
+      let translated = learn_counted ~inputs (Sul.of_mealy abc) in
+      let direct = learn_counted ~inputs (Sul.of_mealy (over inputs abc)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "inputs %s" (String.of_seq (Array.to_seq inputs)))
+        true (translated = direct))
+    [ [| 'c'; 'a'; 'b' |]; [| 'b'; 'c'; 'a' |]; [| 'c'; 'a' |]; [| 'b' |] ]
+
+let unknown_input_rejected () =
+  let sul, counts = Sul.counting (Sul.of_mealy abc) in
+  Alcotest.check_raises "not in the SUL's alphabet"
+    (Invalid_argument "Oracle.over: a symbol is not in the oracle's alphabet")
+    (fun () ->
+      ignore
+        (Learn.run ~inputs:[| 'a'; 'z' |] ~sul ~eq:(Eq_oracle.w_method ()) ()));
+  Alcotest.(check (pair int int)) "no query reached the SUL" (0, 0) (counts ())
 
 (* --- property-based: learners recover random machines --- *)
 
@@ -335,7 +414,8 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "prefix answers" `Quick cache_prefix_answers;
-          Alcotest.test_case "longest prefix" `Quick cache_longest_prefix;
+          Alcotest.test_case "conflict below prefix" `Quick
+            cache_conflict_below_prefix;
           Alcotest.test_case "prefix replay check" `Quick
             wrap_checks_prefix_replay;
           Alcotest.test_case "conflict detection" `Quick cache_detects_conflict;
@@ -361,6 +441,12 @@ let () =
           Alcotest.test_case "fixed words oracle" `Quick fixed_words_oracle;
           Alcotest.test_case "run_mq" `Quick run_mq_driver;
           Alcotest.test_case "l* table dimensions" `Quick lstar_table_dimensions;
+        ] );
+      ( "alphabet",
+        [
+          Alcotest.test_case "translated learner alphabet" `Quick
+            learner_alphabet_translated;
+          Alcotest.test_case "unknown input" `Quick unknown_input_rejected;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_lstar; prop_ttt; prop_agreement ] );

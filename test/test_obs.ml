@@ -610,7 +610,7 @@ let lossy_learning_emits_fault_events () =
         in
         (* raw queries suffice; learning to completion is not the point *)
         for _ = 1 to 50 do
-          ignore (Sul.query sul Prognosis_tcp.Tcp_alphabet.[ Syn; Ack; Fin_ack ])
+          ignore (Sul.run sul Prognosis_tcp.Tcp_alphabet.[ Syn; Ack; Fin_ack ])
         done)
   in
   let losses = List.filter (fun r -> str "name" r = "net.loss") records in
@@ -743,6 +743,17 @@ let atomic_file_writers_race () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* A bare file name lands in the current directory, which is the
+   directory synced after the rename. *)
+let atomic_file_bare_name () =
+  let path = Printf.sprintf "atomic-%d.txt" (Unix.getpid ()) in
+  Prognosis_obs.Atomic_file.write ~path "payload";
+  let ic = open_in_bin path in
+  let got = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "content" "payload" got
+
 let () =
   Alcotest.run "obs"
     [
@@ -786,6 +797,7 @@ let () =
         [
           Alcotest.test_case "2-domain writers race" `Quick
             atomic_file_writers_race;
+          Alcotest.test_case "bare file name" `Quick atomic_file_bare_name;
         ] );
       ( "instrumentation",
         [

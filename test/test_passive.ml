@@ -115,7 +115,7 @@ let hybrid_saves_queries () =
   let logs = Passive.random_sample ~rng ~inputs ~words:400 ~max_len:8 sul in
   let learn ~preload =
     let raw = Oracle.of_sul (Prognosis_tcp.Tcp_adapter.sul ~seed:31L ()) in
-    let cache = Cache.create () in
+    let cache = Cache.create ~inputs () in
     if preload then Passive.preload cache logs;
     let mq = Cache.wrap cache raw in
     let model, _ =

@@ -8,7 +8,9 @@
    answers, every protocol's learner view answers as its adapter's own
    queries do, learning leaves the study adapter's Oracle Table empty,
    QUIC outputs render to the same strings, and every QUIC datagram and
-   IPv4 datagram is byte-identical to known answers. These run under
+   IPv4 datagram is byte-identical to known answers. The query stream
+   every SUL sees, by symbol name, is pinned by a digest, and learning
+   does not depend on the order a SUL lists its alphabet in. These run under
    the @perf alias, next to the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
@@ -122,10 +124,11 @@ let consistent_queries seed =
 
 let trie_dump_restore_roundtrip () =
   let qs = consistent_queries 11L in
-  let c1 = Cache.create () in
+  let inputs = [| 0; 1; 2 |] in
+  let c1 = Cache.create ~inputs () in
   List.iter (fun (w, o) -> Cache.insert c1 w o) qs;
   let d1 = Cache.dump c1 in
-  let c2 = Cache.create () in
+  let c2 = Cache.create ~inputs () in
   Cache.restore c2 d1;
   Alcotest.(check bool) "dump . restore . dump is the identity" true
     (Cache.dump c2 = d1);
@@ -136,7 +139,8 @@ let trie_restores_old_format_order () =
   let qs = consistent_queries 12L in
   (* a checkpoint written by the pre-trie cache carries entries in
      arbitrary (hash-table) order: interleave halves to simulate it *)
-  let c1 = Cache.create () in
+  let inputs = [| 0; 1; 2 |] in
+  let c1 = Cache.create ~inputs () in
   List.iter (fun (w, o) -> Cache.insert c1 w o) qs;
   let d = Cache.dump c1 in
   let rec interleave = function
@@ -149,7 +153,7 @@ let trie_restores_old_format_order () =
     interleave (List.filteri (fun i _ -> i >= half) d,
                 List.rev (List.filteri (fun i _ -> i < half) d))
   in
-  let c2 = Cache.create () in
+  let c2 = Cache.create ~inputs () in
   Cache.restore c2 scrambled;
   List.iter
     (fun (w, o) ->
@@ -180,12 +184,13 @@ let prop_domain_fill_dump_canonical =
   QCheck2.Test.make ~count:60
     ~name:"K-domain fill == sequential dump"
     gen_word_set (fun qs ->
-      let flat = Cache.create () in
+      let inputs = [| 0; 1; 2; 3 |] in
+      let flat = Cache.create ~inputs () in
       List.iter (fun (w, o) -> Cache.insert flat w o) qs;
       let reference = Cache.dump flat in
       List.for_all
         (fun k ->
-          let shared = Cache.create () in
+          let shared = Cache.create ~inputs () in
           let writer d () =
             List.iteri
               (fun i (w, o) -> if i mod k = d then Cache.insert shared w o)
@@ -216,13 +221,14 @@ let shared_stress_four_domains () =
         List.init len (fun _ -> Prognosis_sul.Rng.int rng 5))
   in
   let batch_a = words_of 31L 400 and batch_b = words_of 32L 400 in
-  let cache = Cache.create () in
+  let inputs = Mealy.inputs m in
+  let cache = Cache.create ~inputs () in
   let torn = Atomic.make 0 and asked = Atomic.make 0 in
   let inserter batch () =
     List.iter (fun w -> Cache.insert cache w (answers w)) batch
   in
   let prober batch () =
-    let mq = Cache.wrap cache (Oracle.of_fun answers) in
+    let mq = Cache.wrap cache (Oracle.of_fun ~inputs answers) in
     for _ = 1 to 30 do
       List.iter
         (fun w ->
@@ -242,7 +248,7 @@ let shared_stress_four_domains () =
   Alcotest.(check int) "hits + misses = asks across all domains"
     (Atomic.get asked)
     (Cache.hits cache + Cache.misses cache);
-  let sequential = Cache.create () in
+  let sequential = Cache.create ~inputs () in
   List.iter
     (fun w -> Cache.insert sequential w (answers w))
     (batch_a @ batch_b);
@@ -411,7 +417,7 @@ let prop_unrecorded_view ~name ~count ~alphabet ~sul ~create =
     (gen_seed_and_words alphabet)
     (fun (seed, words) ->
       let s = sul seed and a = create seed in
-      List.for_all (fun w -> Sul.query s w = Adapter.query a w) words)
+      List.for_all (fun w -> Sul.run s w = Adapter.query a w) words)
 
 let prop_unrecorded_tcp =
   prop_unrecorded_view ~name:"tcp" ~count:60
@@ -608,6 +614,165 @@ let quic_wire_digest () =
   Alcotest.(check string) "digest" "a0bfdd887ffcacfdda15e319d0077fbd"
     (Digest.to_hex (Digest.string (Buffer.contents digests)))
 
+(* --- the query stream is independent of the word representation --- *)
+
+(* Every word that reaches a SUL, with its answer, by symbol name, and
+   the canonical bytes of every learned model: 7 subjects x 3 seeds, on
+   the typed study path (the studies' own engine learn over their
+   adapters' SULs) and in the learn-model setting (Learn.run over the
+   study model, with the subject's string-level eq oracle). *)
+let stream = Buffer.create (1 lsl 20)
+
+let recorded ~in_s ~out_s (sul : _ Sul.t) =
+  let started = ref false in
+  {
+    sul with
+    Sul.reset =
+      (fun () ->
+        if !started then Buffer.add_char stream '\n';
+        started := true;
+        sul.Sul.reset ());
+    step =
+      (fun i ->
+        let o = sul.Sul.step i in
+        Buffer.add_string stream (in_s sul.Sul.inputs.(i));
+        Buffer.add_char stream '/';
+        Buffer.add_string stream (out_s o);
+        Buffer.add_char stream ' ';
+        o);
+  }
+
+let typed_learn name ~seed =
+  let module T = Prognosis_tcp.Tcp_server in
+  let module D = Prognosis_dtls.Dtls_server in
+  let learn (type i o) ~(all : i array) ~in_s ~out_s
+      ~(make : int64 -> (i, o) Sul.t) ~eq =
+    let r, _ =
+      Engine.learn ~algorithm:Prognosis_learner.Learn.Ttt_tree
+        ~factory:
+          (Engine.seeded_factory
+             (fun s -> recorded ~in_s ~out_s (make s))
+             ~seed)
+        ~inputs:all ~eq ()
+    in
+    Buffer.add_string stream "--end--\n";
+    Persist.to_string_model ~input_to_string:in_s ~output_to_string:out_s
+      r.Prognosis_learner.Learn.model
+  in
+  let tcp server_config =
+    let module A = Prognosis_tcp.Tcp_alphabet in
+    learn ~all:A.all ~in_s:A.to_string ~out_s:A.output_to_string
+      ~make:(fun seed -> Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed ())
+      ~eq:(Tcp_study.eq_oracle Fun.id ~seed)
+  in
+  let dtls server_config =
+    let module A = Prognosis_dtls.Dtls_alphabet in
+    learn ~all:A.all ~in_s:A.to_string ~out_s:A.output_to_string
+      ~make:(fun seed ->
+        Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed ())
+      ~eq:(Dtls_study.eq_oracle Fun.id ~seed)
+  in
+  let quic pname =
+    let profile = Option.get (Quic_profile.find pname) in
+    learn ~all:Quic_alphabet.all ~in_s:Quic_alphabet.to_string
+      ~out_s:Quic_alphabet.output_to_string
+      ~make:(fun seed -> Prognosis_quic.Quic_adapter.sul ~profile ~seed ())
+      ~eq:(Quic_study.eq_oracle Fun.id ~seed)
+  in
+  match name with
+  | "tcp" -> tcp T.default_config
+  | "tcp:no-challenge" -> tcp { T.default_config with T.challenge_acks = false }
+  | "dtls" -> dtls D.default_config
+  | "dtls:no-cookie" -> dtls { D.default_config with D.require_cookie = false }
+  | _ -> quic (String.sub name 5 (String.length name - 5))
+
+let query_stream_digest () =
+  let module Subject = Prognosis_service.Subject in
+  let module Learn = Prognosis_learner.Learn in
+  Buffer.clear stream;
+  let text (s : Subject.t) m =
+    Persist.text_of_model ~kind:s.Subject.kind ~input_to_string:Fun.id
+      ~output_to_string:Fun.id m
+  in
+  List.iter
+    (fun name ->
+      let s = Result.get_ok (Subject.of_name name) in
+      List.iter
+        (fun seed ->
+          let m = typed_learn name ~seed in
+          let study, _ =
+            s.Subject.learn ~seed ~algorithm:Learn.Ttt_tree ~exec:None
+          in
+          Alcotest.(check string)
+            (name ^ ": the study's model")
+            (text s study) (text s m);
+          Buffer.add_string stream (text s m);
+          let r =
+            Learn.run ~algorithm:Learn.Ttt_tree ~inputs:s.Subject.inputs
+              ~sul:(recorded ~in_s:Fun.id ~out_s:Fun.id (Sul.of_mealy study))
+              ~eq:(s.Subject.eq ~seed) ()
+          in
+          Buffer.add_string stream "--end--\n";
+          Buffer.add_string stream (text s r.Learn.model))
+        [ 1L; 2L; 3L ])
+    [
+      "tcp"; "tcp:no-challenge"; "dtls"; "dtls:no-cookie"; "quic:quiche-like";
+      "quic:google-like"; "quic:strict-retry";
+    ];
+  (* captured from the implementation that stepped SULs by symbol and
+     hashed symbols in the cache, the packed machines and the engine *)
+  Alcotest.(check string) "digest" "3ce2e916b22243365ca1923e3d00670b"
+    (Digest.to_hex (Digest.string (Buffer.contents stream)))
+
+(* Random machines over a string alphabet, learned over SULs that list
+   the alphabet in two random orders: both learns find the target, and
+   the two caches dump the same symbol words in the same order, though
+   they saw the symbols at different positions. *)
+let gen_shuffled =
+  let open QCheck2.Gen in
+  int_range 1 6 >>= fun size ->
+  int_range 2 4 >>= fun k ->
+  let state = int_range 0 (size - 1) in
+  array_size (return size) (array_size (return k) state) >>= fun delta ->
+  array_size (return size) (array_size (return k) (int_range 0 3))
+  >>= fun lambda ->
+  let shuffle = shuffle_a (Array.init k Fun.id) in
+  pair shuffle shuffle >>= fun (p1, p2) ->
+  let inputs = Array.init k (fun i -> "s" ^ string_of_int i) in
+  let lambda = Array.map (Array.map string_of_int) lambda in
+  return (Mealy.make ~size ~initial:0 ~inputs ~delta ~lambda, p1, p2)
+
+let prop_shuffled_alphabet =
+  QCheck2.Test.make ~count:100
+    ~name:"shuffled SUL alphabet: same model, same cache dump"
+    gen_shuffled (fun (target, p1, p2) ->
+      let relisted perm =
+        let inputs = Array.map (Array.get (Mealy.inputs target)) perm in
+        Mealy.of_fun ~size:(Mealy.size target) ~initial:0 ~inputs
+          ~step:(Mealy.step target)
+      in
+      let learn perm =
+        let cache = Cache.create () in
+        let mq =
+          Cache.wrap cache (Oracle.of_sul (Sul.of_mealy (relisted perm)))
+        in
+        let r =
+          Prognosis_learner.Learn.run_mq ~inputs:(Mealy.inputs target) ~mq
+            ~eq:
+              (Prognosis_learner.Eq_oracle.combine
+                 [
+                   Prognosis_learner.Eq_oracle.w_method ~extra_states:1 ();
+                   Prognosis_learner.Eq_oracle.against target;
+                 ])
+            ()
+        in
+        (r.Prognosis_learner.Learn.model, Cache.dump cache)
+      in
+      let m1, d1 = learn p1 and m2, d2 = learn p2 in
+      Mealy.equivalent m1 target = None
+      && Mealy.equivalent m2 target = None
+      && d1 = d2)
+
 (* IPv4 (+ UDP) datagrams captured from the two-codec implementation. *)
 let wrap_tcp_answers =
   [
@@ -708,6 +873,11 @@ let () =
         [
           Alcotest.test_case "byte-identical to sprintf" `Quick
             quic_strings_match_reference;
+        ] );
+      ( "mq-stream",
+        [
+          Alcotest.test_case "query-stream digest" `Quick query_stream_digest;
+          QCheck_alcotest.to_alcotest prop_shuffled_alphabet;
         ] );
       ( "quic-wire",
         [

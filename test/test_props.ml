@@ -405,7 +405,9 @@ let prop_w_method_kills_output_mutants =
              to |m| states while the minimized spec has fewer. *)
           let spec = Mealy.minimize m in
           let extra_states = Mealy.size m - Mealy.size spec in
-          let suite = Testing.w_method ~extra_states spec in
+          let suite =
+            List.map (Mealy.decode spec) (Testing.w_method ~extra_states spec)
+          in
           List.exists (fun w -> Mealy.run m w <> Mealy.run mutant w) suite)
 
 let prop_minimize_fixpoint =

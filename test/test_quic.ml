@@ -531,7 +531,9 @@ let migration_with_queued_response () =
   let adapter, client = Prognosis_quic.Quic_adapter.create ~seed:83L () in
   let sul = Prognosis_sul.Adapter.to_sul adapter in
   sul.Prognosis_sul.Sul.reset ();
-  let step s = sul.Prognosis_sul.Sul.step s in
+  let step s =
+    sul.Prognosis_sul.Sul.step (List.hd (Prognosis_sul.Sul.encode sul [ s ]))
+  in
   let _ = step Quic_alphabet.Initial_crypto in
   let _ = step Quic_alphabet.Handshake_ack_crypto in
   (* Before migration, the queue is empty and the symbol unrealizable. *)

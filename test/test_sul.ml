@@ -326,8 +326,8 @@ let sul_counting () =
       ~lambda:[| [| "x" |] |]
   in
   let sul, counts = Sul.counting (Sul.of_mealy m) in
-  let _ = Sul.query sul [ 'a'; 'a' ] in
-  let _ = Sul.query sul [ 'a' ] in
+  let _ = Sul.run sul [ 'a'; 'a' ] in
+  let _ = Sul.run sul [ 'a' ] in
   let resets, steps = counts () in
   Alcotest.(check int) "resets" 2 resets;
   Alcotest.(check int) "steps" 3 steps
@@ -337,9 +337,9 @@ let sul_counting () =
 let flaky_sul rng p good bad =
   (* Answers [good] normally, [bad] with probability p, per query. *)
   let current = ref good in
-  Sul.make
+  Sul.make ~inputs:[| () |]
     ~reset:(fun () -> current := if Rng.bool rng p then bad else good)
-    ~step:(fun () -> !current)
+    ~step:(fun _ -> !current)
     ()
 
 let nondet_deterministic_fastpath () =
@@ -384,7 +384,7 @@ let nondet_raises () =
   match
     Nondet.deterministic_query
       { Nondet.min_runs = 10; max_runs = 40; agreement = 0.99 }
-      ~pp:(fun _ -> "q") sul [ () ]
+      ~pp:(fun _ -> "q") sul [ 0 ]
   with
   | exception Nondet.Nondeterministic_sul _ -> ()
   | _ -> Alcotest.fail "expected Nondeterministic_sul"
@@ -399,15 +399,15 @@ let modal_oracle_prefix_consistent () =
   (* Each step independently flaky: the raw SUL answers differ between
      runs, but the modal oracle must answer consistently on prefixes. *)
   let sul =
-    Sul.make
+    Sul.make ~inputs:[| () |]
       ~reset:(fun () -> ())
-      ~step:(fun () -> if Rng.bool rng 0.3 then "B" else "A")
+      ~step:(fun _ -> if Rng.bool rng 0.3 then "B" else "A")
       ()
   in
   let oracle = Nondet.modal_oracle ~runs:51 sul in
-  let a3 = oracle [ (); (); () ] in
-  let a2 = oracle [ (); () ] in
-  let a1 = oracle [ () ] in
+  let a3 = oracle [ 0; 0; 0 ] in
+  let a2 = oracle [ 0; 0 ] in
+  let a1 = oracle [ 0 ] in
   Alcotest.(check (list string)) "len-2 is a prefix of len-3" a2
     (List.filteri (fun i _ -> i < 2) a3);
   Alcotest.(check (list string)) "len-1 is a prefix of len-2" a1
@@ -417,22 +417,22 @@ let modal_oracle_prefix_consistent () =
 let modal_oracle_memoizes () =
   let calls = ref 0 in
   let sul =
-    Sul.make
+    Sul.make ~inputs:[| () |]
       ~reset:(fun () -> incr calls)
-      ~step:(fun () -> "x")
+      ~step:(fun _ -> "x")
       ()
   in
   let oracle = Nondet.modal_oracle ~runs:5 sul in
-  let _ = oracle [ (); () ] in
+  let _ = oracle [ 0; 0 ] in
   let after_first = !calls in
-  let _ = oracle [ (); () ] in
+  let _ = oracle [ 0; 0 ] in
   Alcotest.(check int) "no extra SUL resets on repeat" after_first !calls
 
 (* --- adapter --- *)
 
 let echo_adapter () =
   (* Abstract symbol n; concrete packet = string of n; output = n+1. *)
-  Adapter.create
+  Adapter.create ~inputs:(Array.init 10 Fun.id)
     ~reset:(fun () -> ())
     ~step:(fun n -> (n + 1, [ string_of_int n ], [ string_of_int (n + 1) ]))
     ()

@@ -239,14 +239,14 @@ let make_sul () = Tcp_adapter.sul ~seed:7L ()
 
 let adapter_handshake () =
   let sul = make_sul () in
-  let out = Sul.query sul Tcp_alphabet.[ Syn; Ack ] in
+  let out = Sul.run sul Tcp_alphabet.[ Syn; Ack ] in
   Alcotest.(check (list string)) "3-way handshake"
     [ "SYN+ACK(?,?,0)"; "NIL" ]
     (List.map Tcp_alphabet.output_to_string out)
 
 let adapter_data_exchange () =
   let sul = make_sul () in
-  let out = Sul.query sul Tcp_alphabet.[ Syn; Ack; Ack_psh ] in
+  let out = Sul.run sul Tcp_alphabet.[ Syn; Ack; Ack_psh ] in
   Alcotest.(check (list string)) "data is acked"
     [ "SYN+ACK(?,?,0)"; "NIL"; "ACK(?,?,0)" ]
     (List.map Tcp_alphabet.output_to_string out)
@@ -320,7 +320,7 @@ let tcp_model_agrees_with_sul () =
     let word =
       List.init len (fun _ -> Tcp_alphabet.all.(Rng.int rng 7))
     in
-    if Sul.query sul word <> Mealy.run m word then
+    if Sul.run sul word <> Mealy.run m word then
       Alcotest.fail "model disagrees with SUL"
   done
 
@@ -358,7 +358,7 @@ let learning_survives_loss () =
     Tcp_adapter.sul ~network:(Prognosis_sul.Network.lossy 0.03) ~seed:7L ()
   in
   let mq =
-    Prognosis_learner.Oracle.of_fun
+    Prognosis_learner.Oracle.of_fun ~inputs:lossy.Prognosis_sul.Sul.inputs
       (Prognosis_sul.Nondet.modal_oracle ~runs:15 lossy)
   in
   let result =

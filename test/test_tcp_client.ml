@@ -99,7 +99,7 @@ let machine_commands_before_connect () =
 
 let run_word seed word =
   let sul = Study.sul ~seed () in
-  List.map Study.output_to_string (Sul.query sul word)
+  List.map Study.output_to_string (Sul.run sul word)
 
 let adapter_lifecycle () =
   let out =
