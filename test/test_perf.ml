@@ -829,6 +829,263 @@ let prop_udp_roundtrip =
       Inet.unwrap_udp (Inet.wrap_udp ~src ~dst ~src_port ~dst_port payload)
       = Ok (src_port, payload))
 
+(* --- the TCP and DTLS datagram paths: wire known answers --- *)
+
+module Tcp_wire = Prognosis_tcp.Tcp_wire
+module Tcp_alphabet = Prognosis_tcp.Tcp_alphabet
+module Tcp_server = Prognosis_tcp.Tcp_server
+module Tcp_client = Prognosis_tcp.Tcp_client
+module Dtls_wire = Prognosis_dtls.Dtls_wire
+module Dtls_alphabet = Prognosis_dtls.Dtls_alphabet
+module Dtls_server = Prognosis_dtls.Dtls_server
+module Dtls_client = Prognosis_dtls.Dtls_client
+
+let client_ip = 0x0A000001
+let server_ip = 0x0A000002
+
+(* One step through client, IPv4 both ways and server, as Tcp_adapter
+   does on a reliable channel; every IPv4 datagram goes to [emit]. *)
+let tcp_wire_sul ~emit ~server_config seed =
+  let rng = Rng.create seed in
+  let server = Tcp_server.create ~config:server_config (Rng.split rng) in
+  let client =
+    Tcp_client.create ~dst_port:server_config.Tcp_server.port (Rng.split rng)
+  in
+  let step i =
+    let request = Tcp_client.concretize client Tcp_alphabet.all.(i) in
+    let datagram =
+      Inet.wrap_tcp ~src:client_ip ~dst:server_ip (Tcp_wire.encode request)
+    in
+    emit datagram;
+    let responses =
+      match Inet.unwrap_tcp datagram with
+      | Ok segment -> Tcp_server.handle_bytes server segment
+      | Error e -> Alcotest.failf "unwrap_tcp: %s" e
+    in
+    let received =
+      List.filter_map
+        (fun segment ->
+          let datagram = Inet.wrap_tcp ~src:server_ip ~dst:client_ip segment in
+          emit datagram;
+          match Inet.unwrap_tcp datagram with
+          | Ok segment -> Result.to_option (Tcp_wire.decode segment)
+          | Error e -> Alcotest.failf "unwrap_tcp: %s" e)
+        responses
+    in
+    List.iter (Tcp_client.absorb client) received;
+    List.filter_map Tcp_alphabet.abstract received
+  in
+  Sul.make ~inputs:Tcp_alphabet.all
+    ~reset:(fun () ->
+      Tcp_server.reset server;
+      Tcp_client.reset client)
+    ~step ()
+
+(* The same for Dtls_adapter: UDP in IPv4, both ways. *)
+let dtls_wire_sul ~emit ~server_config seed =
+  let rng = Rng.create seed in
+  let server = Dtls_server.create ~config:server_config (Rng.split rng) in
+  let client = Dtls_client.create (Rng.split rng) in
+  let unwrap datagram =
+    emit datagram;
+    match Inet.unwrap_udp datagram with
+    | Ok (_, payload) -> payload
+    | Error e -> Alcotest.failf "unwrap_udp: %s" e
+  in
+  let step i =
+    match Dtls_client.concretize client Dtls_alphabet.all.(i) with
+    | None -> []
+    | Some (wire, _) ->
+        unwrap
+          (Inet.wrap_udp ~src:client_ip ~dst:server_ip ~src_port:50000
+             ~dst_port:4433 wire)
+        |> Dtls_server.handle_datagram server
+        |> List.filter_map (fun payload ->
+               unwrap
+                 (Inet.wrap_udp ~src:server_ip ~dst:client_ip ~src_port:4433
+                    ~dst_port:50000 payload)
+               |> Dtls_client.absorb client)
+        |> List.filter_map Dtls_alphabet.abstract
+  in
+  Sul.make ~inputs:Dtls_alphabet.all
+    ~reset:(fun () ->
+      Dtls_server.reset server;
+      Dtls_client.reset client)
+    ~step ()
+
+(* Steps [driver] and the adapter's own SUL together: every output must
+   agree, so the digest below pins the adapter's datagrams. *)
+let lockstep ~out_s (driver : _ Sul.t) (adapter : _ Sul.t) =
+  {
+    driver with
+    Sul.reset =
+      (fun () ->
+        driver.Sul.reset ();
+        adapter.Sul.reset ());
+    step =
+      (fun i ->
+        let o = driver.Sul.step i and o' = adapter.Sul.step i in
+        if out_s o <> out_s o' then
+          Alcotest.failf "adapter output %s, driver %s" (out_s o') (out_s o);
+        o);
+  }
+
+(* Digest of every IPv4 datagram, both directions, and every abstract
+   output of the tcp, tcp:no-challenge, dtls and dtls:no-cookie learns
+   (seeds 1-3, the study path: Engine.learn with the study's eq
+   oracle); each learned model must be the study's. *)
+let tcp_dtls_wire_digest () =
+  let module T = Prognosis_tcp.Tcp_server in
+  let module D = Prognosis_dtls.Dtls_server in
+  let digests = Buffer.create (1 lsl 20) in
+  let datagrams = ref 0 in
+  let emit datagram =
+    incr datagrams;
+    Buffer.add_string digests (Digest.string datagram)
+  in
+  let learn (type i o) ~name ~seed ~(all : i array) ~in_s ~out_s
+      ~(driver : int64 -> (i, o) Sul.t) ~(adapter : int64 -> (i, o) Sul.t) ~eq
+      =
+    let digested o =
+      let s = out_s o in
+      Buffer.add_string digests s;
+      s
+    in
+    let r, _ =
+      Engine.learn ~algorithm:Prognosis_learner.Learn.Ttt_tree
+        ~factory:
+          (Engine.seeded_factory
+             (fun s -> lockstep ~out_s:digested (driver s) (adapter s))
+             ~seed)
+        ~inputs:all ~eq ()
+    in
+    let s = Result.get_ok (Prognosis_service.Subject.of_name name) in
+    let study, _ =
+      s.Prognosis_service.Subject.learn ~seed
+        ~algorithm:Prognosis_learner.Learn.Ttt_tree ~exec:None
+    in
+    let text m =
+      Persist.text_of_model ~kind:s.Prognosis_service.Subject.kind
+        ~input_to_string:Fun.id ~output_to_string:Fun.id m
+    in
+    Alcotest.(check string)
+      (name ^ ": the study's model")
+      (text study)
+      (text
+         (Persist.to_string_model ~input_to_string:in_s
+            ~output_to_string:out_s r.Prognosis_learner.Learn.model))
+  in
+  List.iter
+    (fun seed ->
+      let tcp name server_config =
+        learn ~name ~seed ~all:Tcp_alphabet.all ~in_s:Tcp_alphabet.to_string
+          ~out_s:Tcp_alphabet.output_to_string
+          ~driver:(tcp_wire_sul ~emit ~server_config)
+          ~adapter:(fun seed ->
+            Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed ())
+          ~eq:(Tcp_study.eq_oracle Fun.id ~seed)
+      in
+      let dtls name server_config =
+        learn ~name ~seed ~all:Dtls_alphabet.all ~in_s:Dtls_alphabet.to_string
+          ~out_s:Dtls_alphabet.output_to_string
+          ~driver:(dtls_wire_sul ~emit ~server_config)
+          ~adapter:(fun seed ->
+            Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed ())
+          ~eq:(Dtls_study.eq_oracle Fun.id ~seed)
+      in
+      tcp "tcp" T.default_config;
+      tcp "tcp:no-challenge" { T.default_config with T.challenge_acks = false };
+      dtls "dtls" D.default_config;
+      dtls "dtls:no-cookie" { D.default_config with D.require_cookie = false })
+    [ 1L; 2L; 3L ];
+  (* captured from the implementation that built segments and records
+     in Buffers and framed them through separate IPv4 and UDP codecs *)
+  Alcotest.(check int) "datagrams" 129621 !datagrams;
+  Alcotest.(check string) "digest" "c2bddfb5b66988af1e251defdfe52d5e"
+    (Digest.to_hex (Digest.string (Buffer.contents digests)))
+
+(* One segment per option kind, with and without payload. *)
+let tcp_encode_answers =
+  let seg ?options ?payload ?(window = 65535) flags =
+    Tcp_wire.make ?options ?payload ~window ~src_port:40000 ~dst_port:443
+      ~seq:0x12345678 ~ack:0x9ABCDEF0
+      (Tcp_wire.flags_of_string flags)
+  in
+  [
+    ("no options", seg "A", "9c4001bb123456789abcdef05010ffff2f9a0000");
+    ( "MSS",
+      seg ~options:[ Tcp_wire.Mss 1460 ] "S",
+      "9c4001bb123456789abcdef06002ffff17f00000020405b4" );
+    ( "window scale",
+      seg ~options:[ Tcp_wire.Window_scale 7 ] "S",
+      "9c4001bb123456789abcdef06002ffff15a4000003030701" );
+    ( "SACK permitted",
+      seg ~options:[ Tcp_wire.Sack_permitted ] "S",
+      "9c4001bb123456789abcdef06002ffff1aa5000004020101" );
+    ( "timestamps",
+      seg ~options:[ Tcp_wire.Timestamps { value = 0xDEADBEEF; echo = 1 } ]
+        ~window:512 "SA",
+      "9c4001bb123456789abcdef08012020056ee0000"
+      ^ "080adeadbeef000000010101" );
+    ( "all four, with payload",
+      seg
+        ~options:
+          Tcp_wire.
+            [
+              Mss 536; Sack_permitted; Window_scale 14;
+              Timestamps { value = 7; echo = 0xFFFFFFFF };
+            ]
+        ~payload:"hello" "AP",
+      "9c4001bb123456789abcdef0a018ffff71950000"
+      ^ "02040218040203030e080a00000007ffffffff0168656c6c6f" );
+    ( "100-byte payload",
+      seg ~payload:kat_payload "APU",
+      "9c4001bb123456789abcdef05038ffffd6df0000" ^ hex kat_payload );
+  ]
+
+let tcp_dtls_known_answers () =
+  List.iter
+    (fun (name, seg, want) ->
+      let wire = Tcp_wire.encode seg in
+      Alcotest.(check string) ("encode " ^ name) want (hex wire);
+      match Tcp_wire.decode wire with
+      | Ok seg' ->
+          Alcotest.(check string) ("decode " ^ name) (hex wire)
+            (hex (Tcp_wire.encode seg'))
+      | Error e -> Alcotest.failf "decode %s: %s" name e)
+    tcp_encode_answers;
+  (* an epoch-1 FINISHED record sealed by the client, and the same
+     record inside UDP inside IPv4 *)
+  let t = kat_crypto ~server_random:"a1b2c3d4e5f60718" in
+  let protect ~epoch ~seq payload =
+    Option.get (C.seal t C.Client_write ~epoch ~seq payload)
+  in
+  let unprotect ~epoch ~seq payload = C.open_ t C.Client_write ~epoch ~seq payload in
+  let payload =
+    Dtls_wire.encode_handshake
+      {
+        Dtls_wire.msg_type = Dtls_wire.Finished;
+        message_seq = 4;
+        body = C.verify_data t C.Client_write;
+      }
+  in
+  let record =
+    { Dtls_wire.content = Dtls_wire.Handshake; epoch = 1; seq = 1; payload }
+  in
+  let wire = Dtls_wire.encode_record ~protect record in
+  Alcotest.(check string) "sealed record"
+    ("16fefd0001000000000001001c4a500535ff5db30ff7aaf17afe"
+    ^ "67ddba87f004542abe23d514620ec5")
+    (hex wire);
+  Alcotest.(check bool) "record opens" true
+    (Dtls_wire.decode_record ~unprotect wire = Ok record);
+  Alcotest.(check string) "sealed record in UDP/IPv4"
+    ("4500004500000000401166a60a0000010a000002c35011510031aa23" ^ "16fefd0001000000000001001c4a500535ff5db30ff7aaf17afe"
+   ^ "67ddba87f004542abe23d514620ec5")
+    (hex
+       (Inet.wrap_udp ~src:client_ip ~dst:server_ip ~src_port:50000
+          ~dst_port:4433 wire))
+
 let () =
   Alcotest.run "perf"
     [
@@ -884,5 +1141,11 @@ let () =
           Alcotest.test_case "datagram digest" `Quick quic_wire_digest;
           Alcotest.test_case "IPv4 known answers" `Quick inet_known_answers;
           QCheck_alcotest.to_alcotest prop_udp_roundtrip;
+        ] );
+      ( "tcp-dtls-wire",
+        [
+          Alcotest.test_case "datagram digest" `Quick tcp_dtls_wire_digest;
+          Alcotest.test_case "TCP and DTLS known answers" `Quick
+            tcp_dtls_known_answers;
         ] );
     ]

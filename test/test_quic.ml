@@ -927,6 +927,372 @@ let prop_decoders_never_raise =
         datagrams;
       true)
 
+(* --- TCP and DTLS datagrams under structurally valid mutations --- *)
+
+module Inet = Prognosis_sul.Inet
+module Tcp_wire = Prognosis_tcp.Tcp_wire
+module Tcp_server = Prognosis_tcp.Tcp_server
+module Dtls_wire = Prognosis_dtls.Dtls_wire
+module Dtls_crypto = Prognosis_dtls.Dtls_crypto
+module Dtls_server = Prognosis_dtls.Dtls_server
+module Dtls_client = Prognosis_dtls.Dtls_client
+module Dtls_alphabet = Prognosis_dtls.Dtls_alphabet
+
+(* Rewrite the IPv4 total length of a wrap_tcp datagram and recompute
+   the header checksum. *)
+let relength_tcp datagram ~ip_total =
+  let b = Bytes.of_string datagram in
+  Option.iter (Bytes.set_uint16_be b 2) ip_total;
+  Bytes.set_uint16_be b 10 0;
+  Bytes.set_uint16_be b 10 (ones_sum 0 b 0 20);
+  Bytes.to_string b
+
+(* Segments the reference client and the server send: every option
+   kind, data, FIN and RST. *)
+let tcp_templates =
+  let seg ?options ?payload flags =
+    Tcp_wire.make ?options ?payload ~src_port:40000 ~dst_port:443 ~seq:1000
+      ~ack:5000
+      (Tcp_wire.flags_of_string flags)
+  in
+  Tcp_wire.
+    [|
+      seg ~options:[ Mss 1460; Sack_permitted ] "S";
+      seg ~options:[ Mss 1400 ] "SA";
+      seg ~options:[ Window_scale 7; Timestamps { value = 1; echo = 2 } ] "A";
+      seg ~payload:"D" "AP";
+      seg "AF";
+      seg "R";
+      seg "AR";
+    |]
+
+type tcp_case = {
+  template : int;
+  stage : int;  (** server state: 0 listen, 1 after a SYN, 2 established *)
+  resize : int option;  (** new segment length, NOP-padded when longer *)
+  data_offset : int option;  (** replaces the data-offset nibble *)
+  tpokes : (int * int) list;  (** (position, byte) writes into the segment *)
+  tcp_ip_total : int option;
+}
+
+let gen_tcp_case =
+  let open QCheck2.Gen in
+  (* option kinds, option lengths, flag bits and plain noise *)
+  let poke_byte =
+    oneof
+      [
+        oneofl [ 0; 1; 2; 3; 4; 8; 10; 40; 0xFF ];
+        int_range 0 0x3F;
+        int_range 0 255;
+      ]
+  in
+  let* template = int_range 0 (Array.length tcp_templates - 1) in
+  let* stage = int_range 0 2 in
+  let* resize = opt ~ratio:0.3 (int_range 0 72) in
+  let* data_offset = opt ~ratio:0.5 (int_range 0 15) in
+  let* tpokes = list_size (int_range 0 4) (pair (int_range 0 80) poke_byte) in
+  let+ tcp_ip_total = opt ~ratio:0.3 (int_range 0 120) in
+  { template; stage; resize; data_offset; tpokes; tcp_ip_total }
+
+(* The mutated segment, its checksum recomputed over what it now
+   holds. *)
+let build_tcp c =
+  let wire = Tcp_wire.encode tcp_templates.(c.template) in
+  let b =
+    match c.resize with
+    | None -> Bytes.of_string wire
+    | Some n ->
+        Bytes.init n (fun i -> if i < String.length wire then wire.[i] else '\x01')
+  in
+  let n = Bytes.length b in
+  Option.iter
+    (fun o -> if n > 12 then Bytes.set_uint8 b 12 (o lsl 4))
+    c.data_offset;
+  List.iter (fun (pos, v) -> if n > 0 then Bytes.set_uint8 b (pos mod n) v) c.tpokes;
+  if n >= 18 then begin
+    Bytes.set_uint16_be b 16 0;
+    Bytes.set_uint16_be b 16 (ones_sum 0 b 0 n)
+  end;
+  Bytes.to_string b
+
+let tcp_server_at stage =
+  let server = Tcp_server.create (Rng.create 11L) in
+  let client_seg flags ~seq ~ack =
+    Tcp_wire.make ~src_port:40000 ~dst_port:443 ~seq ~ack
+      (Tcp_wire.flags_of_string flags)
+  in
+  (if stage >= 1 then
+     match Tcp_server.handle server (client_seg "S" ~seq:999 ~ack:0) with
+     | [ syn_ack ] when stage >= 2 ->
+         ignore
+           (Tcp_server.handle server
+              (client_seg "A" ~seq:1000 ~ack:(Tcp_wire.seq_add syn_ack.Tcp_wire.seq 1)))
+     | _ -> ());
+  server
+
+(* Unmutated, the templates pass every check. *)
+let fuzz_tcp_builder_valid () =
+  Array.iteri
+    (fun template seg ->
+      let c =
+        { template; stage = 0; resize = None; data_offset = None; tpokes = []; tcp_ip_total = None }
+      in
+      let wire = build_tcp c in
+      Alcotest.(check string) "rebuilt" (Tcp_wire.encode seg) wire;
+      let datagram = relength_tcp (Inet.wrap_tcp ~src:1 ~dst:2 wire) ~ip_total:None in
+      Alcotest.(check (result string string)) "unwrap" (Ok wire) (Inet.unwrap_tcp datagram);
+      Alcotest.(check bool) "decodes" true (Result.is_ok (Tcp_wire.decode wire)))
+    tcp_templates;
+  Alcotest.(check string) "established" "ESTABLISHED"
+    (Tcp_server.state_to_string (Tcp_server.state (tcp_server_at 2)))
+
+let prop_tcp_never_raises =
+  QCheck2.Test.make ~count:1500
+    ~name:"TCP: mutated offsets, options and lengths under valid checksums never raise"
+    gen_tcp_case (fun c ->
+      let wire = build_tcp c in
+      let datagram =
+        relength_tcp (Inet.wrap_tcp ~src:0x0A000001 ~dst:0x0A000002 wire)
+          ~ip_total:c.tcp_ip_total
+      in
+      let segments =
+        match Inet.unwrap_tcp datagram with
+        | Ok payload -> [ wire; payload ]
+        | Error _ -> [ wire ]
+      in
+      List.iter
+        (fun segment ->
+          ignore (Tcp_wire.decode segment);
+          ignore (Tcp_server.handle_bytes (tcp_server_at c.stage) segment))
+        segments;
+      true)
+
+(* A MiniDTLS client and server driven through the first [stage]
+   symbols of a full handshake, and record-protection keys equal to
+   theirs, derived from the randoms and premaster their plaintext
+   records carry. *)
+let dtls_at stage =
+  let rng = Rng.create 21L in
+  let server = Dtls_server.create (Rng.split rng) in
+  let client = Dtls_client.create (Rng.split rng) in
+  let keys = Dtls_crypto.create () in
+  let client_random = ref "" and server_random = ref "" and premaster = ref "" in
+  let body_after prefix body =
+    let n = String.length prefix in
+    if String.length body >= n && String.sub body 0 n = prefix then
+      Some (String.sub body n (String.length body - n))
+    else None
+  in
+  let note (r : Dtls_wire.record_) =
+    match Dtls_wire.decode_handshake r.Dtls_wire.payload with
+    | Ok h -> (
+        let body = h.Dtls_wire.body in
+        (match body_after "CR:" body with
+        | Some rest -> client_random := List.hd (String.split_on_char ';' rest)
+        | None -> ());
+        (match body_after "SR:" body with Some sr -> server_random := sr | None -> ());
+        match body_after "PMS:" body with Some p -> premaster := p | None -> ())
+    | Error _ -> ()
+  in
+  List.iteri
+    (fun i symbol ->
+      if i < stage then
+        match Dtls_client.concretize client symbol with
+        | None -> ()
+        | Some (wire, record) ->
+            note record;
+            List.iter
+              (fun response -> Option.iter note (Dtls_client.absorb client response))
+              (Dtls_server.handle_datagram server wire))
+    Dtls_alphabet.
+      [ Client_hello; Client_hello; Client_key_exchange; Change_cipher_spec; Finished ];
+  if !premaster <> "" then
+    Dtls_crypto.derive_master keys ~client_random:!client_random
+      ~server_random:!server_random ~premaster:!premaster;
+  (server, client, keys)
+
+type dtls_template = {
+  content : int;
+  epoch : int;
+  handshake : (int * string) option;  (** message type and body *)
+  plain : string;  (** the payload of a non-handshake record *)
+}
+
+let dtls_templates =
+  let hs epoch t body = { content = 22; epoch; handshake = Some (t, body); plain = "" } in
+  let rc epoch content plain = { content; epoch; handshake = None; plain } in
+  [|
+    hs 0 1 "CR:0123456789abcdef;COOKIE:";
+    hs 0 3 "0011223344556677";
+    hs 0 2 "SR:fedcba9876543210";
+    hs 0 11 "CERT:minidtls-self-signed";
+    hs 0 14 "";
+    hs 0 16 "PMS:00112233aabbccdd";
+    rc 0 20 "\x01";
+    hs 1 20 "01234567";
+    rc 1 23 "ping";
+    rc 0 21 "\x01\x00";
+    rc 1 21 "\x02\x0a";
+  |]
+
+type dtls_case = {
+  dtemplate : int;
+  dstage : int;  (** handshake symbols both endpoints have seen (0-5) *)
+  ctype : int option;  (** replaces the content-type byte *)
+  version : int option;
+  rec_epoch : int option;  (** replaces the epoch; the record is sealed under it *)
+  record_len : int option;  (** replaces the record length field *)
+  hs_type : int option;
+  hs_len : int option;  (** replaces the 24-bit handshake length *)
+  frag_offset : int option;
+  frag_len : int option;
+  dpokes : (int * int) list;  (** (position, byte) writes into the plaintext *)
+  dtls_ip_total : int option;
+  dtls_udp_len : int option;
+}
+
+let gen_dtls_case =
+  let open QCheck2.Gen in
+  let u24 = oneof [ int_range 0 64; int_range 0 0xFFFFFF ] in
+  let* dtemplate = int_range 0 (Array.length dtls_templates - 1) in
+  let* dstage = int_range 0 5 in
+  let* ctype = opt ~ratio:0.2 (oneof [ int_range 19 24; int_range 0 255 ]) in
+  let* version = opt ~ratio:0.1 (oneofl [ 0xFEFD; 0xFEFF; 0x0303; 0 ]) in
+  let* rec_epoch = opt ~ratio:0.2 (int_range 0 3) in
+  let* record_len = opt ~ratio:0.3 (oneof [ int_range 0 80; int_range 0 0xFFFF ]) in
+  let* hs_type = opt ~ratio:0.2 (oneof [ oneofl [ 1; 2; 3; 11; 14; 16; 20 ]; int_range 0 255 ]) in
+  let* hs_len = opt ~ratio:0.3 u24 in
+  let* frag_offset = opt ~ratio:0.1 u24 in
+  let* frag_len = opt ~ratio:0.2 u24 in
+  let* dpokes = list_size (int_range 0 3) (pair (int_range 0 60) (int_range 0 255)) in
+  let* dtls_ip_total = opt ~ratio:0.2 (int_range 0 200) in
+  let+ dtls_udp_len = opt ~ratio:0.2 (int_range 0 200) in
+  {
+    dtemplate; dstage; ctype; version; rec_epoch; record_len; hs_type; hs_len;
+    frag_offset; frag_len; dpokes; dtls_ip_total; dtls_udp_len;
+  }
+
+(* The mutated record, sealed under its (possibly mutated) epoch with
+   [keys] for [sender] when the keys exist, so its tag checks. *)
+let build_dtls c ~keys ~sender =
+  let t = dtls_templates.(c.dtemplate) in
+  let u24 b off v =
+    Bytes.set_uint8 b off ((v lsr 16) land 0xFF);
+    Bytes.set_uint16_be b (off + 1) (v land 0xFFFF)
+  in
+  let plaintext =
+    match t.handshake with
+    | None -> Bytes.of_string t.plain
+    | Some (msg_type, body) ->
+        let n = String.length body in
+        let b = Bytes.create (12 + n) in
+        Bytes.set_uint8 b 0 (Option.value c.hs_type ~default:msg_type);
+        u24 b 1 (Option.value c.hs_len ~default:n);
+        Bytes.set_uint16_be b 4 2;
+        u24 b 6 (Option.value c.frag_offset ~default:0);
+        u24 b 9 (Option.value c.frag_len ~default:n);
+        Bytes.blit_string body 0 b 12 n;
+        b
+  in
+  let n = Bytes.length plaintext in
+  List.iter (fun (pos, v) -> if n > 0 then Bytes.set_uint8 plaintext (pos mod n) v) c.dpokes;
+  let epoch = Option.value c.rec_epoch ~default:t.epoch in
+  let seq = 3 in
+  let payload =
+    let plaintext = Bytes.to_string plaintext in
+    if epoch >= 1 then
+      Option.value ~default:plaintext (Dtls_crypto.seal keys sender ~epoch ~seq plaintext)
+    else plaintext
+  in
+  let b = Bytes.create (13 + String.length payload) in
+  Bytes.set_uint8 b 0 (Option.value c.ctype ~default:t.content);
+  Bytes.set_uint16_be b 1 (Option.value c.version ~default:0xFEFD);
+  Bytes.set_uint16_be b 3 epoch;
+  Bytes.set_uint16_be b 5 0;
+  Bytes.set_int32_be b 7 (Int32.of_int seq);
+  Bytes.set_uint16_be b 11 (Option.value c.record_len ~default:(String.length payload));
+  Bytes.blit_string payload 0 b 13 (String.length payload);
+  Bytes.to_string b
+
+(* Unmutated, the templates decode (sealed ones under the endpoints'
+   keys) and a full handshake leaves both endpoints established. *)
+let fuzz_dtls_builder_valid () =
+  let server, client, keys = dtls_at 5 in
+  Alcotest.(check bool) "handshake complete" true (Dtls_client.handshake_complete client);
+  Array.iteri
+    (fun dtemplate t ->
+      let c =
+        {
+          dtemplate; dstage = 5; ctype = None; version = None; rec_epoch = None;
+          record_len = None; hs_type = None; hs_len = None; frag_offset = None;
+          frag_len = None; dpokes = []; dtls_ip_total = None; dtls_udp_len = None;
+        }
+      in
+      let wire = build_dtls c ~keys ~sender:Dtls_crypto.Client_write in
+      let unprotect ~epoch ~seq payload =
+        Dtls_crypto.open_ keys Dtls_crypto.Client_write ~epoch ~seq payload
+      in
+      match Dtls_wire.decode_record ~unprotect wire with
+      | Ok r -> (
+          Alcotest.(check int) "epoch" t.epoch r.Dtls_wire.epoch;
+          match t.handshake with
+          | Some (_, body) -> (
+              match Dtls_wire.decode_handshake r.Dtls_wire.payload with
+              | Ok h -> Alcotest.(check string) "body" body h.Dtls_wire.body
+              | Error e -> Alcotest.fail e)
+          | None -> Alcotest.(check string) "payload" t.plain r.Dtls_wire.payload)
+      | Error e -> Alcotest.failf "template %d: %s" dtemplate e)
+    dtls_templates;
+  (* the established server echoes a sealed APP_DATA *)
+  let app = build_dtls
+      { dtemplate = 8; dstage = 5; ctype = None; version = None; rec_epoch = None;
+        record_len = None; hs_type = None; hs_len = None; frag_offset = None;
+        frag_len = None; dpokes = []; dtls_ip_total = None; dtls_udp_len = None }
+      ~keys ~sender:Dtls_crypto.Client_write
+  in
+  Alcotest.(check int) "echo" 1 (List.length (Dtls_server.handle_datagram server app))
+
+let prop_dtls_never_raises =
+  QCheck2.Test.make ~count:1500
+    ~name:"DTLS: mutated record and handshake headers under valid tags never raise"
+    gen_dtls_case (fun c ->
+      List.iter
+        (fun sender ->
+          let server, client, keys = dtls_at c.dstage in
+          let wire = build_dtls c ~keys ~sender in
+          let datagram =
+            relength_udp
+              (Inet.wrap_udp ~src:0x0A000001 ~dst:0x0A000002 ~src_port:50000
+                 ~dst_port:4433 wire)
+              ~ip_total:c.dtls_ip_total ~udp_len:c.dtls_udp_len
+          in
+          let records =
+            match Inet.unwrap_udp datagram with
+            | Ok (_, payload) -> [ wire; payload ]
+            | Error _ -> [ wire ]
+          in
+          let unprotect ~epoch ~seq payload = Dtls_crypto.open_ keys sender ~epoch ~seq payload in
+          List.iter
+            (fun record ->
+              (match Dtls_wire.decode_record ~unprotect record with
+              | Ok r -> ignore (Dtls_wire.decode_handshake r.Dtls_wire.payload)
+              | Error _ -> ());
+              ignore (Dtls_wire.decode_record record);
+              if String.length record > 13 then
+                ignore
+                  (Dtls_wire.decode_handshake
+                     (String.sub record 13 (String.length record - 13)));
+              match sender with
+              | Dtls_crypto.Client_write ->
+                  ignore (Dtls_server.handle_datagram server record)
+              | Dtls_crypto.Server_write ->
+                  Option.iter
+                    (fun r -> ignore (Dtls_alphabet.abstract r))
+                    (Dtls_client.absorb client record))
+            records)
+        [ Dtls_crypto.Client_write; Dtls_crypto.Server_write ];
+      true)
+
 let () =
   Alcotest.run "quic"
     [
@@ -964,6 +1330,12 @@ let () =
           Alcotest.test_case "builder makes valid packets" `Quick
             fuzz_builder_valid;
           QCheck_alcotest.to_alcotest prop_decoders_never_raise;
+          Alcotest.test_case "TCP builder makes valid segments" `Quick
+            fuzz_tcp_builder_valid;
+          QCheck_alcotest.to_alcotest prop_tcp_never_raises;
+          Alcotest.test_case "DTLS builder makes valid records" `Quick
+            fuzz_dtls_builder_valid;
+          QCheck_alcotest.to_alcotest prop_dtls_never_raises;
         ] );
       ( "connection",
         [
