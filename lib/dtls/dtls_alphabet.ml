@@ -47,15 +47,15 @@ let output_to_string = function
 
 let pp_output fmt o = Format.pp_print_string fmt (output_to_string o)
 
-let abstract (r : Dtls_wire.record_) =
+let abstract_record (r : Dtls_wire.record_) handshake =
   match r.Dtls_wire.content with
   | Dtls_wire.Change_cipher_spec -> Some A_change_cipher_spec
   | Dtls_wire.Alert -> Some A_alert
   | Dtls_wire.Application_data -> Some A_app_data
   | Dtls_wire.Handshake -> (
-      match Dtls_wire.decode_handshake r.Dtls_wire.payload with
-      | Error _ -> None
-      | Ok h -> (
+      match handshake with
+      | None -> None
+      | Some h -> (
           match h.Dtls_wire.msg_type with
           | Dtls_wire.Hello_verify_request -> Some A_hello_verify_request
           | Dtls_wire.Server_hello -> Some A_server_hello
@@ -63,3 +63,12 @@ let abstract (r : Dtls_wire.record_) =
           | Dtls_wire.Server_hello_done -> Some A_server_hello_done
           | Dtls_wire.Finished -> Some A_finished
           | Dtls_wire.Client_hello | Dtls_wire.Client_key_exchange -> None))
+
+let abstract (r : Dtls_wire.record_) =
+  abstract_record r
+    (match r.Dtls_wire.content with
+    | Dtls_wire.Handshake ->
+        Result.to_option (Dtls_wire.decode_handshake r.Dtls_wire.payload)
+    | Dtls_wire.Change_cipher_spec | Dtls_wire.Alert
+    | Dtls_wire.Application_data ->
+        None)

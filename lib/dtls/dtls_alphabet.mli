@@ -33,6 +33,12 @@ type output = arecord list
 val output_to_string : output -> string
 val pp_output : Format.formatter -> output -> unit
 
+val abstract_record :
+  Dtls_wire.record_ -> Dtls_wire.handshake option -> arecord option
+(** α on a decoded record whose handshake message the caller has
+    already decoded ([None] when it carries none or it does not
+    decode); [None] for record contents outside the abstraction (never
+    produced by the server). *)
+
 val abstract : Dtls_wire.record_ -> arecord option
-(** α on a decoded record; [None] for record contents outside the
-    abstraction (never produced by the server). *)
+(** {!abstract_record}, decoding the handshake message itself. *)

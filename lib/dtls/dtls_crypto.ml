@@ -66,6 +66,7 @@ type keys = { master : string; client : key; server : key }
 type t = { mutable keys : keys option }
 
 let create () = { keys = None }
+let reset t = t.keys <- None
 
 let derive_key master direction =
   let h = fold_string fnv_basis master in
@@ -103,16 +104,18 @@ let key t direction =
 
 let tag_length = 8
 
-(* Writes [src.[0..len)] XOR the keystream for (epoch, seq) into [dst]:
-   8-byte blocks, each the next splitmix output taken little-endian. *)
-let xor_keystream key ~epoch ~seq src dst len =
+(* Writes [src[soff, soff+len)] XOR the keystream for (epoch, seq) to
+   [dst] at [doff]: 8-byte blocks, each the next splitmix output taken
+   little-endian. [src] and [dst] may be the same bytes at the same
+   offset: each block is read before it is written. *)
+let xor_keystream key ~epoch ~seq src soff dst doff len =
   let h = fold_byte (fold_int key.stream_prefix epoch) hash_mark in
   let state = ref (finalize (fold_int h seq)) in
   let blocks = len / 8 in
   for b = 0 to blocks - 1 do
     state := finalize !state;
-    Bytes.set_int64_le dst (8 * b)
-      (Int64.logxor (String.get_int64_le src (8 * b)) !state)
+    Bytes.set_int64_le dst (doff + (8 * b))
+      (Int64.logxor (String.get_int64_le src (soff + (8 * b))) !state)
   done;
   if len > 8 * blocks then begin
     state := finalize !state;
@@ -121,45 +124,61 @@ let xor_keystream key ~epoch ~seq src dst len =
         Int64.to_int (Int64.shift_right_logical !state (8 * (i land 7)))
         land 0xFF
       in
-      Bytes.unsafe_set dst i
-        (Char.unsafe_chr (Char.code (String.unsafe_get src i) lxor k))
+      Bytes.set dst (doff + i)
+        (Char.unsafe_chr (Char.code (String.get src (soff + i)) lxor k))
     done
   end
 
-(* The tag over [plaintext.[0..len)]. *)
-let tag key ~epoch ~seq plaintext len =
+(* The tag over the plaintext [s[off, off+len)]. *)
+let tag key ~epoch ~seq s off len =
   let h = fold_byte (fold_int key.tag_prefix epoch) bar in
   let h = ref (fold_byte (fold_int h seq) bar) in
-  for i = 0 to len - 1 do
-    h := fold_byte !h (Char.code (String.unsafe_get plaintext i))
+  for i = off to off + len - 1 do
+    h := fold_byte !h (Char.code (String.unsafe_get s i))
   done;
   finalize !h
 
-let seal t direction ~epoch ~seq plaintext =
+(* The single implementation of record protection: the tag over the
+   plaintext where it lies, then the keystream XOR in place, then the
+   tag after the ciphertext. *)
+let seal_in_place t direction ~epoch ~seq b off len =
   match key t direction with
-  | None -> None
+  | None -> false
   | Some key ->
-      let n = String.length plaintext in
-      let out = Bytes.create (n + tag_length) in
-      xor_keystream key ~epoch ~seq plaintext out n;
-      Bytes.set_int64_be out n (tag key ~epoch ~seq plaintext n);
-      Some (Bytes.unsafe_to_string out)
+      if off < 0 || len < 0 || off > Bytes.length b - len - tag_length then
+        invalid_arg "Dtls_crypto.seal_in_place";
+      let s = Bytes.unsafe_to_string b in
+      let tag = tag key ~epoch ~seq s off len in
+      xor_keystream key ~epoch ~seq s off b off len;
+      Bytes.set_int64_be b (off + len) tag;
+      true
 
-let open_ t direction ~epoch ~seq sealed =
+let open_at t direction ~epoch ~seq data off len =
   match key t direction with
   | None -> None
   | Some key ->
-      let n = String.length sealed - tag_length in
-      if n < 0 then None
+      let n = len - tag_length in
+      if n < 0 || off < 0 || off > String.length data - len then None
       else begin
         let out = Bytes.create n in
-        xor_keystream key ~epoch ~seq sealed out n;
+        xor_keystream key ~epoch ~seq data off out 0 n;
         let plaintext = Bytes.unsafe_to_string out in
-        let received = String.get_int64_be sealed n in
-        if Int64.equal (tag key ~epoch ~seq plaintext n) received then
+        let received = String.get_int64_be data (off + n) in
+        if Int64.equal (tag key ~epoch ~seq plaintext 0 n) received then
           Some plaintext
         else None
       end
+
+let seal t direction ~epoch ~seq plaintext =
+  let n = String.length plaintext in
+  let b = Bytes.create (n + tag_length) in
+  Bytes.blit_string plaintext 0 b 0 n;
+  if seal_in_place t direction ~epoch ~seq b 0 n then
+    Some (Bytes.unsafe_to_string b)
+  else None
+
+let open_ t direction ~epoch ~seq sealed =
+  open_at t direction ~epoch ~seq sealed 0 (String.length sealed)
 
 let verify_data t direction =
   match t.keys with

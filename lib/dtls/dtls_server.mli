@@ -26,5 +26,13 @@ val create : ?config:config -> Prognosis_sul.Rng.t -> t
 val reset : t -> unit
 val phase_name : t -> string
 
+val handle_at : t -> headroom:int -> string -> int -> int -> Bytes.t list
+(** [handle_at t ~headroom data off len]: the record at
+    [data[off, off+len)], decoded and opened where it lies, in; the
+    response records out, each written once after [headroom] free bytes
+    for the caller's framing ({!Prognosis_sul.Inet.frame_udp}) and
+    sealed in place. *)
+
 val handle_datagram : t -> string -> string list
-(** One record in, response records out (wire level). *)
+(** One record in, response records out (wire level): {!handle_at}
+    without headroom. *)

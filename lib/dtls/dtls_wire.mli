@@ -34,6 +34,10 @@ type handshake = {
 }
 
 val encode_handshake : handshake -> string
+(** Header and body, written once.
+    @raise Invalid_argument when the body exceeds the 24-bit length
+    field (16 MiB). *)
+
 val decode_handshake : string -> (handshake, string) result
 
 type record_ = {
@@ -46,12 +50,55 @@ type record_ = {
 
 val pp_record : Format.formatter -> record_ -> unit
 
-val encode_record : ?protect:(epoch:int -> seq:int -> string -> string) -> record_ -> string
-(** [protect] seals the payload (applied when [epoch >= 1]). *)
+(** Record protection: [?keys] is the endpoint's crypto state and the
+    direction it seals (or opens). An epoch >= 1 payload is sealed with
+    {!Dtls_crypto.seal_in_place} when the keys are installed, and sent
+    as plaintext before that; on decode it must open
+    ({!Dtls_crypto.open_at}). Without [?keys], payloads are taken as
+    they are. *)
+
+val write_record :
+  ?keys:Dtls_crypto.t * Dtls_crypto.direction ->
+  headroom:int ->
+  record_ ->
+  Bytes.t
+(** The record written once into one buffer: [headroom] free bytes for
+    the caller's framing ({!Prognosis_sul.Inet.frame_udp}), the
+    13-byte header, the payload, sealed in place.
+    @raise Invalid_argument when the (sealed) payload exceeds the
+    16-bit length field. *)
+
+val write_handshake_record :
+  ?keys:Dtls_crypto.t * Dtls_crypto.direction ->
+  headroom:int ->
+  epoch:int ->
+  seq:int ->
+  handshake ->
+  Bytes.t
+(** A [Handshake] record carrying the message, which is written in
+    place rather than encoded first: equal to {!write_record} of a
+    record whose payload is [encode_handshake h].
+    @raise Invalid_argument as {!encode_handshake} and {!write_record}
+    do. *)
+
+val encode_record :
+  ?keys:Dtls_crypto.t * Dtls_crypto.direction -> record_ -> string
+(** {!write_record} without headroom. *)
+
+val decode_record_at :
+  ?keys:Dtls_crypto.t * Dtls_crypto.direction ->
+  string ->
+  int ->
+  int ->
+  (record_, string) result
+(** [decode_record_at s off len] decodes the record at
+    [s[off, off+len)] where it lies: protected payloads are
+    authenticated and decrypted from the datagram, plain ones copied
+    out once. A payload that fails to open is an [Error] (wrong keys,
+    no keys, tampering). *)
 
 val decode_record :
-  ?unprotect:(epoch:int -> seq:int -> string -> string option) ->
+  ?keys:Dtls_crypto.t * Dtls_crypto.direction ->
   string ->
   (record_, string) result
-(** [unprotect] opens the payload of epoch >= 1 records; returning
-    [None] makes decoding fail (wrong keys / tampering). *)
+(** {!decode_record_at} over a whole string. *)

@@ -1,21 +1,34 @@
 let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xFFFF)
 
-let set_u32 b off v =
-  set_u16 b off ((v lsr 16) land 0xFFFF);
-  set_u16 b (off + 2) (v land 0xFFFF)
-
 let get_u16 s off = String.get_uint16_be s off
 let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 (* RFC 1071 ones-complement checksum, split into a raw 16-bit word sum
    and a finalizer. The sum over a concatenation of even-length pieces
    equals the sum of per-piece sums, so callers fold pseudo-header
-   fields in as integers instead of materializing the concatenation. *)
+   fields in as integers instead of materializing the concatenation.
+   Eight bytes are loaded at a time, as one big-endian 64-bit word, and
+   added as its four 16-bit words: the same integer the byte-pair loop
+   below computes. *)
 let sum_bytes acc b off len =
   let sum = ref acc in
   let i = ref off in
   let stop = off + len in
   (* callers pass ranges they have bounds-checked *)
+  while !i + 8 <= stop do
+    let w = get64u b !i in
+    let w = if Sys.big_endian then w else bswap64 w in
+    sum :=
+      !sum
+      + Int64.to_int (Int64.shift_right_logical w 48)
+      + (Int64.to_int (Int64.shift_right_logical w 32) land 0xFFFF)
+      + (Int64.to_int (Int64.shift_right_logical w 16) land 0xFFFF)
+      + (Int64.to_int w land 0xFFFF);
+    i := !i + 8
+  done;
   while !i + 1 < stop do
     sum :=
       !sum
@@ -36,6 +49,11 @@ let finish sum =
   done;
   lnot !sum land 0xFFFF
 
+let sum acc b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Inet.sum";
+  sum_bytes acc b off len
+
 (* A failed header check; its message is the decoder's [Error]. *)
 exception Reject of string
 
@@ -47,20 +65,23 @@ module Ipv4 = struct
   let header_len = 20
 
   (* The 20-byte header at the front of [b], whose [total] bytes the
-     caller fills with the payload. *)
+     caller fills with the payload. Its checksum is summed from the
+     field values just written: the header's ten 16-bit words, the
+     checksum word zero. *)
   let write_header b ~total ~ttl ~protocol ~src ~dst =
-    Bytes.set b 0 (Char.chr 0x45) (* version 4, IHL 5 *);
-    Bytes.set b 1 '\000';
-    set_u16 b 2 total;
-    Bytes.fill b 4 4 '\000';
-    Bytes.set b 8 (Char.chr (ttl land 0xFF));
-    Bytes.set b 9 (Char.chr (protocol land 0xFF));
-    set_u16 b 10 0;
-    set_u32 b 12 src;
-    set_u32 b 16 dst;
-    (* checksum field is still zero here, so summing the header in
-       place is the sum-with-zeroed-field the RFC asks for *)
-    set_u16 b 10 (finish (sum_bytes 0 b 0 header_len))
+    let total = total land 0xFFFF in
+    let ttl_protocol = ((ttl land 0xFF) lsl 8) lor (protocol land 0xFF) in
+    let src = src land 0xFFFFFFFF and dst = dst land 0xFFFFFFFF in
+    Bytes.set_uint16_be b 0 0x4500 (* version 4, IHL 5 *);
+    Bytes.set_uint16_be b 2 total;
+    Bytes.set_int32_be b 4 0l;
+    Bytes.set_uint16_be b 8 ttl_protocol;
+    Bytes.set_int32_be b 12 (Int32.of_int src);
+    Bytes.set_int32_be b 16 (Int32.of_int dst);
+    Bytes.set_uint16_be b 10
+      (finish
+         (0x4500 + total + ttl_protocol + (src lsr 16) + (src land 0xFFFF)
+         + (dst lsr 16) + (dst land 0xFFFF)))
 
   (* Every header check, in place: the total length when they all
      pass.
@@ -165,35 +186,40 @@ module Udp = struct
           }
 end
 
-let wrap_tcp ~src ~dst payload =
-  Ipv4.encode
-    { Ipv4.src; dst; ttl = 64; protocol = Ipv4.tcp_protocol; payload }
+(* --- write-once datagrams ---------------------------------------- *)
 
-let unwrap_tcp data =
-  match Ipv4.decode data with
-  | Error e -> Error e
-  | Ok ip ->
-      if ip.Ipv4.protocol <> Ipv4.tcp_protocol then Error "ipv4: not TCP"
-      else Ok ip.Ipv4.payload
+let tcp_headroom = Ipv4.header_len
+let udp_headroom = Ipv4.header_len + Udp.header_len
 
-(* One buffer for both headers and the payload: IPv4 header, UDP
-   header, payload. *)
-let wrap_udp ~src ~dst ~src_port ~dst_port payload =
-  let ip_len = Ipv4.header_len and udp_len = Udp.header_len in
-  let udp_total = udp_len + String.length payload in
-  let total = ip_len + udp_total in
+let frame_tcp ~src ~dst b =
+  let total = Bytes.length b in
   if total > 0xFFFF then invalid_arg "Ipv4.encode: payload too large";
-  let b = Bytes.create total in
-  Bytes.blit_string payload 0 b (ip_len + udp_len) (String.length payload);
-  Udp.write_header b ip_len ~total:udp_total ~src_ip:src ~dst_ip:dst ~src_port
-    ~dst_port;
+  Ipv4.write_header b ~total ~ttl:64 ~protocol:Ipv4.tcp_protocol ~src ~dst;
+  Bytes.unsafe_to_string b
+
+(* Both headers in front of the payload the caller has written: UDP
+   first, since the IPv4 header does not cover it. *)
+let frame_udp ~src ~dst ~src_port ~dst_port b =
+  let total = Bytes.length b in
+  if total > 0xFFFF then invalid_arg "Ipv4.encode: payload too large";
+  Udp.write_header b Ipv4.header_len ~total:(total - Ipv4.header_len)
+    ~src_ip:src ~dst_ip:dst ~src_port ~dst_port;
   Ipv4.write_header b ~total ~ttl:64 ~protocol:Ipv4.udp_protocol ~src ~dst;
   Bytes.unsafe_to_string b
 
-(* The checks of [Ipv4.decode] then [Udp.decode] on the datagram as it
-   lies; only the payload is copied out. *)
-let unwrap_udp data =
-  let ip_len = Ipv4.header_len and udp_len = Udp.header_len in
+let check_tcp data =
+  match
+    let total = Ipv4.check data in
+    if Char.code data.[9] <> Ipv4.tcp_protocol then
+      raise (Reject "ipv4: not TCP");
+    total
+  with
+  | exception Reject e -> Error e
+  | total -> Ok (tcp_headroom, total - tcp_headroom)
+
+(* The checks of [Ipv4.decode] then [Udp.decode], in place. *)
+let check_udp data =
+  let ip_len = Ipv4.header_len in
   match
     let total = Ipv4.check data in
     if Char.code data.[9] <> Ipv4.udp_protocol then
@@ -203,6 +229,26 @@ let unwrap_udp data =
   with
   | exception Reject e -> Error e
   | udp_total ->
-      Ok
-        ( get_u16 data ip_len,
-          String.sub data (ip_len + udp_len) (udp_total - udp_len) )
+      Ok (get_u16 data ip_len, udp_headroom, udp_total - Udp.header_len)
+
+let wrap_tcp ~src ~dst payload =
+  let n = String.length payload in
+  let b = Bytes.create (tcp_headroom + n) in
+  Bytes.blit_string payload 0 b tcp_headroom n;
+  frame_tcp ~src ~dst b
+
+let unwrap_tcp data =
+  match check_tcp data with
+  | Error e -> Error e
+  | Ok (off, len) -> Ok (String.sub data off len)
+
+let wrap_udp ~src ~dst ~src_port ~dst_port payload =
+  let n = String.length payload in
+  let b = Bytes.create (udp_headroom + n) in
+  Bytes.blit_string payload 0 b udp_headroom n;
+  frame_udp ~src ~dst ~src_port ~dst_port b
+
+let unwrap_udp data =
+  match check_udp data with
+  | Error e -> Error e
+  | Ok (port, off, len) -> Ok (port, String.sub data off len)

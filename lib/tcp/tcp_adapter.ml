@@ -1,6 +1,7 @@
 module Rng = Prognosis_sul.Rng
 module Network = Prognosis_sul.Network
 module Adapter = Prognosis_sul.Adapter
+module Inet = Prognosis_sul.Inet
 
 type concrete = Tcp_wire.segment
 
@@ -17,41 +18,48 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
     Tcp_server.reset server;
     Tcp_client.reset client
   in
-  (* Segments travel inside real IPv4 datagrams (Example 3.1). *)
+  (* Segments travel inside real IPv4 datagrams (Example 3.1), each
+     written once with room for its IPv4 header and read where it
+     lies. *)
   let client_ip = 0x0A000001 and server_ip = 0x0A000002 in
+  let to_server datagram =
+    match Inet.check_tcp datagram with
+    | Ok (off, len) ->
+        Tcp_server.handle_at server ~headroom:Inet.tcp_headroom datagram off
+          len
+    | Error _ -> []
+  in
+  (* Responses also cross the network back to the client. *)
+  let rec to_client outputs received = function
+    | [] -> (outputs, received)
+    | datagram :: rest -> (
+        match Tcp_wire.of_ipv4 datagram with
+        | Error _ -> to_client outputs received rest
+        | Ok seg ->
+            Tcp_client.absorb client seg;
+            let outputs =
+              match Tcp_alphabet.abstract seg with
+              | Some o -> o :: outputs
+              | None -> outputs
+            in
+            to_client outputs (seg :: received) rest)
+  in
   let step symbol =
     let request = Tcp_client.concretize client symbol in
-    let deliveries =
-      Network.transmit channel
-        (Prognosis_sul.Inet.wrap_tcp ~src:client_ip ~dst:server_ip
-           (Tcp_wire.encode request))
-    in
     let responses =
-      List.concat_map
-        (fun datagram ->
-          match Prognosis_sul.Inet.unwrap_tcp datagram with
-          | Ok segment_bytes -> Tcp_server.handle_bytes server segment_bytes
-          | Error _ -> [])
-        deliveries
+      List.concat_map to_server
+        (Network.transmit channel
+           (Tcp_wire.to_ipv4 ~src:client_ip ~dst:server_ip request))
     in
-    (* Responses also cross the network back to the client. *)
-    let received =
-      List.concat_map
-        (fun tcp_bytes ->
-          Network.transmit channel
-            (Prognosis_sul.Inet.wrap_tcp ~src:server_ip ~dst:client_ip tcp_bytes))
-        responses
-      |> List.filter_map (fun datagram ->
-             match Prognosis_sul.Inet.unwrap_tcp datagram with
-             | Ok bytes -> (
-                 match Tcp_wire.decode bytes with
-                 | Ok seg -> Some seg
-                 | Error _ -> None)
-             | Error _ -> None)
+    let outputs, received =
+      List.fold_left
+        (fun (outputs, received) b ->
+          to_client outputs received
+            (Network.transmit channel
+               (Inet.frame_tcp ~src:server_ip ~dst:client_ip b)))
+        ([], []) responses
     in
-    List.iter (Tcp_client.absorb client) received;
-    let output = List.filter_map Tcp_alphabet.abstract received in
-    (output, [ request ], received)
+    (List.rev outputs, [ request ], List.rev received)
   in
   Adapter.create ~description:"tcp" ~inputs:Tcp_alphabet.all ~reset ~step ()
 

@@ -140,14 +140,9 @@ let adapter ?(network = Network.reliable) ~seed () =
     (* Client segments cross the channel (inside IPv4) to the peer. *)
     List.concat_map
       (fun seg ->
-        Network.transmit channel
-          (Prognosis_sul.Inet.wrap_tcp ~src:client_ip ~dst:server_ip (encode seg)))
+        Network.transmit channel (to_ipv4 ~src:client_ip ~dst:server_ip seg))
       emitted
-    |> List.filter_map (fun datagram ->
-           match Prognosis_sul.Inet.unwrap_tcp datagram with
-           | Ok bytes -> (
-               match decode bytes with Ok seg -> Some seg | Error _ -> None)
-           | Error _ -> None)
+    |> List.filter_map (fun datagram -> Result.to_option (of_ipv4 datagram))
   in
   let step symbol =
     match symbol with
@@ -166,8 +161,7 @@ let adapter ?(network = Network.reliable) ~seed () =
         let request = peer_concretize peer symbol in
         let deliveries =
           Network.transmit channel
-            (Prognosis_sul.Inet.wrap_tcp ~src:server_ip ~dst:client_ip
-               (encode request))
+            (to_ipv4 ~src:server_ip ~dst:client_ip request)
         in
         let emitted =
           List.concat_map

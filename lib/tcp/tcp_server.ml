@@ -45,6 +45,13 @@ let config t = t.cfg
 let reply t (peer : segment) ?(payload = "") ~seq ~ack flags =
   make ~payload ~src_port:t.cfg.port ~dst_port:peer.src_port ~seq ~ack flags
 
+(* One shared record per reply flag set. *)
+let ack_flags = { no_flags with ack = true }
+let rst_flags = { no_flags with rst = true }
+let rst_ack_flags = { no_flags with rst = true; ack = true }
+let fin_ack_flags = { no_flags with fin = true; ack = true }
+let syn_ack_flags = { no_flags with syn = true; ack = true }
+
 (* RST in response to a segment that does not belong to any
    connection: RFC 793 resets carry the offending segment's ACK number
    as their sequence when the segment had ACK set, and ACK the
@@ -52,7 +59,7 @@ let reply t (peer : segment) ?(payload = "") ~seq ~ack flags =
 let refuse t (seg : segment) =
   if seg.flags.rst then []
   else if seg.flags.ack then
-    [ reply t seg ~seq:seg.ack ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:seg.ack ~ack:0 rst_flags ]
   else
     let seg_len =
       String.length seg.payload + (if seg.flags.syn then 1 else 0)
@@ -60,14 +67,12 @@ let refuse t (seg : segment) =
     in
     [
       reply t seg ~seq:0 ~ack:(seq_add seg.seq seg_len)
-        { no_flags with rst = true; ack = true };
+        rst_ack_flags;
     ]
 
 let challenge t seg =
-  [ reply t seg ~seq:t.snd_nxt ~ack:t.rcv_nxt { no_flags with ack = true } ]
+  [ reply t seg ~seq:t.snd_nxt ~ack:t.rcv_nxt ack_flags ]
 
-let fin_ack_flags = { no_flags with fin = true; ack = true }
-let syn_ack_flags = { no_flags with syn = true; ack = true }
 
 (* Is this segment acceptable for the current connection? The
    simulated link never reorders, so we insist on exact sequence
@@ -103,7 +108,7 @@ let handle_syn_rcvd t (seg : segment) =
   else if seg.flags.syn && seg.flags.ack then begin
     (* SYN+ACK in SYN_RCVD is not meaningful: abort with RST. *)
     t.state <- if t.cfg.one_shot then Closed else Listen;
-    [ reply t seg ~seq:seg.ack ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:seg.ack ~ack:0 rst_flags ]
   end
   else if seg.flags.syn then
     (* SYN retransmission: resend our SYN+ACK. *)
@@ -159,7 +164,7 @@ let handle_close_wait t (seg : segment) =
   else if String.length seg.payload > 0 then begin
     (* Data after the peer's FIN: protocol violation, abort. *)
     t.state <- if t.cfg.one_shot then Closed else Listen;
-    [ reply t seg ~seq:t.snd_nxt ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:t.snd_nxt ~ack:0 rst_flags ]
   end
   else if seg.flags.fin then
     (* FIN retransmission: our ACK was lost; re-acknowledge. *)
@@ -183,7 +188,7 @@ let handle_last_ack t (seg : segment) =
   else if ack_current t seg && in_window t seg then
     if String.length seg.payload > 0 then begin
       t.state <- if t.cfg.one_shot then Closed else Listen;
-      [ reply t seg ~seq:t.snd_nxt ~ack:0 { no_flags with rst = true } ]
+      [ reply t seg ~seq:t.snd_nxt ~ack:0 rst_flags ]
     end
     else begin
       (* Final ACK of our FIN: fully closed. *)
@@ -204,7 +209,17 @@ let handle t (seg : segment) =
     | Last_ack -> handle_last_ack t seg
     | Closed -> refuse t seg
 
-let handle_bytes t data =
-  match decode data with
+let handle_at t ~headroom data off len =
+  match decode_at data off len with
   | Error _ -> []
-  | Ok seg -> List.map encode (handle t seg)
+  | Ok seg ->
+      List.map
+        (fun response ->
+          let b = Bytes.create (headroom + encoded_length response) in
+          write response b headroom;
+          b)
+        (handle t seg)
+
+let handle_bytes t data =
+  List.map Bytes.unsafe_to_string
+    (handle_at t ~headroom:0 data 0 (String.length data))

@@ -48,6 +48,12 @@ val config : t -> config
 val handle : t -> Tcp_wire.segment -> Tcp_wire.segment list
 (** Process one decoded segment, returning response segments. *)
 
+val handle_at : t -> headroom:int -> string -> int -> int -> Bytes.t list
+(** Wire-level entry point: [handle_at t ~headroom data off len]
+    decodes the segment at [data[off, off+len)] where it lies (dropping
+    malformed or checksum-failing ones), processes it and writes each
+    response once, after [headroom] free bytes for the caller's framing
+    ({!Prognosis_sul.Inet.frame_tcp}). *)
+
 val handle_bytes : t -> string -> string list
-(** Wire-level entry point: decodes (dropping malformed or
-    checksum-failing datagrams), processes, encodes responses. *)
+(** {!handle_at} on a whole segment, responses without headroom. *)

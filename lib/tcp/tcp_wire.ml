@@ -99,32 +99,17 @@ let to_json s =
       Printf.sprintf "  \"urgentPointer\": %d }" s.urgent;
     ]
 
-(* RFC 1071 internet checksum: ones-complement sum of 16-bit words. *)
-let checksum data =
-  let len = String.length data in
-  let sum = ref 0 in
-  let i = ref 0 in
-  while !i + 1 < len do
-    sum := !sum + (Char.code data.[!i] lsl 8) + Char.code data.[!i + 1];
-    i := !i + 2
-  done;
-  if !i < len then sum := !sum + (Char.code data.[!i] lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xFFFF) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xFFFF
+module Inet = Prognosis_sul.Inet
 
 let header_len = 20
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 1) (Char.chr (v land 0xFF))
+let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xFFFF)
 
 let set_u32 b off v =
   set_u16 b off ((v lsr 16) land 0xFFFF);
   set_u16 b (off + 2) (v land 0xFFFF)
 
-let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
+let get_u16 s off = String.get_uint16_be s off
 let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
 
 let flag_bits f =
@@ -135,140 +120,164 @@ let flag_bits f =
   lor (if f.ack then 0x10 else 0)
   lor if f.urg then 0x20 else 0
 
-let flags_of_bits bits =
-  {
-    fin = bits land 0x01 <> 0;
-    syn = bits land 0x02 <> 0;
-    rst = bits land 0x04 <> 0;
-    psh = bits land 0x08 <> 0;
-    ack = bits land 0x10 <> 0;
-    urg = bits land 0x20 <> 0;
-  }
+(* The 64 flag records, shared by every decoded segment. *)
+let flags_of_bits =
+  let table =
+    Array.init 64 (fun bits ->
+        {
+          fin = bits land 0x01 <> 0;
+          syn = bits land 0x02 <> 0;
+          rst = bits land 0x04 <> 0;
+          psh = bits land 0x08 <> 0;
+          ack = bits land 0x10 <> 0;
+          urg = bits land 0x20 <> 0;
+        })
+  in
+  fun bits -> Array.unsafe_get table (bits land 0x3F)
 
-let encode_options options =
-  let buf = Buffer.create 16 in
-  List.iter
-    (fun opt ->
-      match opt with
-      | Mss v ->
-          Buffer.add_char buf '\x02';
-          Buffer.add_char buf '\x04';
-          Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-          Buffer.add_char buf (Char.chr (v land 0xFF))
-      | Window_scale v ->
-          Buffer.add_char buf '\x03';
-          Buffer.add_char buf '\x03';
-          Buffer.add_char buf (Char.chr (v land 0xFF))
-      | Sack_permitted ->
-          Buffer.add_char buf '\x04';
-          Buffer.add_char buf '\x02'
-      | Timestamps { value; echo } ->
-          Buffer.add_char buf '\x08';
-          Buffer.add_char buf '\x0A';
-          let add32 v =
-            Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-            Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-            Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-            Buffer.add_char buf (Char.chr (v land 0xFF))
-          in
-          add32 value;
-          add32 echo)
-    options;
-  (* Pad with NOPs to a 32-bit boundary. *)
-  while Buffer.length buf mod 4 <> 0 do
-    Buffer.add_char buf '\x01'
-  done;
-  Buffer.contents buf
+let option_length = function
+  | Mss _ -> 4
+  | Window_scale _ -> 3
+  | Sack_permitted -> 2
+  | Timestamps _ -> 10
 
-let decode_options region =
-  let len = String.length region in
+(* The options region, NOP-padded to a 32-bit boundary. *)
+let options_length options =
+  let n = List.fold_left (fun n opt -> n + option_length opt) 0 options in
+  (n + 3) land lnot 3
+
+let write_option b off = function
+  | Mss v ->
+      Bytes.set b off '\x02';
+      Bytes.set b (off + 1) '\x04';
+      set_u16 b (off + 2) v
+  | Window_scale v ->
+      Bytes.set b off '\x03';
+      Bytes.set b (off + 1) '\x03';
+      Bytes.set b (off + 2) (Char.unsafe_chr (v land 0xFF))
+  | Sack_permitted ->
+      Bytes.set b off '\x04';
+      Bytes.set b (off + 1) '\x02'
+  | Timestamps { value; echo } ->
+      Bytes.set b off '\x08';
+      Bytes.set b (off + 1) '\x0A';
+      set_u32 b (off + 2) value;
+      set_u32 b (off + 6) echo
+
+let encoded_length s =
+  header_len + options_length s.options + String.length s.payload
+
+(* The segment at [off] in [b], written once: header, options, padding
+   and payload, then the checksum summed over them where they lie. The
+   checksum covers the segment alone (no RFC 793 pseudo-header). *)
+let write s b off =
+  let options = options_length s.options in
+  let offset_words = 5 + (options / 4) in
+  if offset_words > 15 then invalid_arg "Tcp_wire.encode: options too long";
+  let payload = String.length s.payload in
+  set_u16 b off s.src_port;
+  set_u16 b (off + 2) s.dst_port;
+  set_u32 b (off + 4) s.seq;
+  set_u32 b (off + 8) s.ack;
+  Bytes.set b (off + 12) (Char.unsafe_chr (offset_words lsl 4));
+  Bytes.set b (off + 13) (Char.unsafe_chr (flag_bits s.flags));
+  set_u16 b (off + 14) s.window;
+  set_u16 b (off + 16) 0;
+  set_u16 b (off + 18) s.urgent;
+  let opt_off = off + header_len in
+  let stop =
+    List.fold_left
+      (fun o opt ->
+        write_option b o opt;
+        o + option_length opt)
+      opt_off s.options
+  in
+  Bytes.fill b stop (opt_off + options - stop) '\x01';
+  Bytes.blit_string s.payload 0 b (opt_off + options) payload;
+  let total = header_len + options + payload in
+  set_u16 b (off + 16) (Inet.finish (Inet.sum 0 b off total))
+
+let encode s =
+  let b = Bytes.create (encoded_length s) in
+  write s b 0;
+  Bytes.unsafe_to_string b
+
+let to_ipv4 ~src ~dst s =
+  let b = Bytes.create (Inet.tcp_headroom + encoded_length s) in
+  write s b Inet.tcp_headroom;
+  Inet.frame_tcp ~src ~dst b
+
+(* The options in [data[off, stop)], read where they lie. *)
+let decode_options data off stop =
   let rec loop off acc =
-    if off >= len then Ok (List.rev acc)
+    if off >= stop then Ok (List.rev acc)
     else
-      match Char.code region.[off] with
+      match Char.code data.[off] with
       | 0 -> Ok (List.rev acc) (* end of options *)
       | 1 -> loop (off + 1) acc (* NOP *)
       | kind ->
-          if off + 1 >= len then Error "truncated option"
+          if off + 1 >= stop then Error "truncated option"
           else begin
-            let olen = Char.code region.[off + 1] in
-            if olen < 2 || off + olen > len then Error "bad option length"
+            let olen = Char.code data.[off + 1] in
+            if olen < 2 || off + olen > stop then Error "bad option length"
             else begin
               let next = off + olen in
               match (kind, olen) with
-              | 2, 4 ->
-                  let v = (Char.code region.[off + 2] lsl 8) lor Char.code region.[off + 3] in
-                  loop next (Mss v :: acc)
-              | 3, 3 -> loop next (Window_scale (Char.code region.[off + 2]) :: acc)
+              | 2, 4 -> loop next (Mss (get_u16 data (off + 2)) :: acc)
+              | 3, 3 ->
+                  loop next (Window_scale (Char.code data.[off + 2]) :: acc)
               | 4, 2 -> loop next (Sack_permitted :: acc)
               | 8, 10 ->
-                  let g32 o =
-                    (Char.code region.[o] lsl 24)
-                    lor (Char.code region.[o + 1] lsl 16)
-                    lor (Char.code region.[o + 2] lsl 8)
-                    lor Char.code region.[o + 3]
-                  in
                   loop next
-                    (Timestamps { value = g32 (off + 2); echo = g32 (off + 6) } :: acc)
+                    (Timestamps
+                       {
+                         value = get_u32 data (off + 2);
+                         echo = get_u32 data (off + 6);
+                       }
+                    :: acc)
               | _ -> loop next acc (* unknown option: skipped *)
             end
           end
   in
-  loop 0 []
+  loop off []
 
-let encode s =
-  let options = encode_options s.options in
-  let offset_words = 5 + (String.length options / 4) in
-  if offset_words > 15 then invalid_arg "Tcp_wire.encode: options too long";
-  let total = header_len + String.length options + String.length s.payload in
-  let b = Bytes.make total '\000' in
-  set_u16 b 0 s.src_port;
-  set_u16 b 2 s.dst_port;
-  set_u32 b 4 s.seq;
-  set_u32 b 8 s.ack;
-  Bytes.set b 12 (Char.chr (offset_words lsl 4));
-  Bytes.set b 13 (Char.chr (flag_bits s.flags));
-  set_u16 b 14 s.window;
-  (* checksum at 16 starts as zero *)
-  set_u16 b 18 s.urgent;
-  Bytes.blit_string options 0 b header_len (String.length options);
-  Bytes.blit_string s.payload 0 b
-    (header_len + String.length options)
-    (String.length s.payload);
-  let sum = checksum (Bytes.to_string b) in
-  set_u16 b 16 sum;
-  Bytes.to_string b
+let sub data off len = if len = 0 then "" else String.sub data off len
 
-let decode data =
-  if String.length data < header_len then Error "segment too short"
+let decode_at data off len =
+  if len < header_len then Error "segment too short"
   else begin
-    let offset = Char.code data.[12] lsr 4 in
+    let offset = Char.code data.[off + 12] lsr 4 in
     if offset < 5 then Error "bad data offset"
-    else if String.length data < offset * 4 then Error "truncated header"
+    else if len < offset * 4 then Error "truncated header"
     else begin
-      let received_sum = get_u16 data 16 in
-      let zeroed = Bytes.of_string data in
-      set_u16 zeroed 16 0;
-      if checksum (Bytes.to_string zeroed) <> received_sum then
-        Error "bad checksum"
-      else begin
-        let options_region = String.sub data header_len ((offset * 4) - header_len) in
-        match decode_options options_region with
+      let received = get_u16 data (off + 16) in
+      (* the raw sum less the stored checksum word is the sum with the
+         field zeroed *)
+      let sum = Inet.sum 0 (Bytes.unsafe_of_string data) off len in
+      if Inet.finish (sum - received) <> received then Error "bad checksum"
+      else
+        let hl = offset * 4 in
+        match decode_options data (off + header_len) (off + hl) with
         | Error e -> Error e
         | Ok options ->
             Ok
               {
-                src_port = get_u16 data 0;
-                dst_port = get_u16 data 2;
-                seq = get_u32 data 4;
-                ack = get_u32 data 8;
-                flags = flags_of_bits (Char.code data.[13]);
-                window = get_u16 data 14;
-                urgent = get_u16 data 18;
+                src_port = get_u16 data off;
+                dst_port = get_u16 data (off + 2);
+                seq = get_u32 data (off + 4);
+                ack = get_u32 data (off + 8);
+                flags = flags_of_bits (Char.code data.[off + 13]);
+                window = get_u16 data (off + 14);
+                urgent = get_u16 data (off + 18);
                 options;
-                payload =
-                  String.sub data (offset * 4) (String.length data - (offset * 4));
+                payload = sub data (off + hl) (len - hl);
               }
-      end
     end
   end
+
+let decode data = decode_at data 0 (String.length data)
+
+let of_ipv4 data =
+  match Inet.check_tcp data with
+  | Error e -> Error e
+  | Ok (off, len) -> decode_at data off len

@@ -46,21 +46,21 @@ let record_roundtrip_protected () =
   let c = Dtls_crypto.create () in
   Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr"
     ~premaster:"pms";
-  let seal ~epoch ~seq payload =
-    Option.get (Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq payload)
-  in
-  let unprotect ~epoch ~seq payload =
-    Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch ~seq payload
-  in
+  let keys = (c, Dtls_crypto.Client_write) in
   let r =
-    { Dtls_wire.content = Dtls_wire.Application_data; epoch = 1; seq = 7; payload = "secret" }
+    {
+      Dtls_wire.content = Dtls_wire.Application_data;
+      epoch = 1;
+      seq = 7;
+      payload = "secret";
+    }
   in
-  let wire = Dtls_wire.encode_record ~protect:seal r in
+  let wire = Dtls_wire.encode_record ~keys r in
   (* Ciphertext differs from plaintext on the wire. *)
   Alcotest.(check bool) "protected" true
     (String.length wire > 13 + 6
     && String.sub wire 13 6 <> "secret");
-  match Dtls_wire.decode_record ~unprotect wire with
+  match Dtls_wire.decode_record ~keys wire with
   | Error e -> Alcotest.fail e
   | Ok r' -> Alcotest.(check string) "payload" "secret" r'.Dtls_wire.payload
 
@@ -69,21 +69,76 @@ let record_wrong_keys_fail () =
   Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr" ~premaster:"pms";
   let other = Dtls_crypto.create () in
   Dtls_crypto.derive_master other ~client_random:"cr" ~server_random:"XX" ~premaster:"pms";
-  let seal ~epoch ~seq payload =
-    Option.get (Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq payload)
-  in
   let wire =
-    Dtls_wire.encode_record ~protect:seal
+    Dtls_wire.encode_record ~keys:(c, Dtls_crypto.Client_write)
       { Dtls_wire.content = Dtls_wire.Application_data; epoch = 1; seq = 0; payload = "x" }
   in
   match
-    Dtls_wire.decode_record
-      ~unprotect:(fun ~epoch ~seq payload ->
-        Dtls_crypto.open_ other Dtls_crypto.Client_write ~epoch ~seq payload)
-      wire
+    Dtls_wire.decode_record ~keys:(other, Dtls_crypto.Client_write) wire
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong keys must not decode"
+
+(* Length fields are never truncated: a payload the 16-bit record
+   length (or a body the 24-bit handshake length) cannot hold is
+   refused, as Ipv4.encode and Tcp_wire.encode refuse theirs. *)
+let record_length_field () =
+  let record payload =
+    {
+      Dtls_wire.content = Dtls_wire.Application_data;
+      epoch = 1;
+      seq = 0;
+      payload;
+    }
+  in
+  let too_long =
+    Invalid_argument
+      "Dtls_wire.encode_record: payload exceeds the 16-bit length"
+  in
+  let roundtrip ?keys name payload =
+    match
+      Dtls_wire.decode_record ?keys
+        (Dtls_wire.encode_record ?keys (record payload))
+    with
+    | Ok r -> Alcotest.(check string) name payload r.Dtls_wire.payload
+    | Error e -> Alcotest.fail e
+  in
+  let largest = String.make 0xFFFF 'x' in
+  roundtrip "largest payload" largest;
+  Alcotest.check_raises "one byte over" too_long (fun () ->
+      ignore (Dtls_wire.encode_record (record (largest ^ "x"))));
+  (* the tag counts: sealed, the largest plaintext is 8 bytes shorter *)
+  let c = Dtls_crypto.create () in
+  Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr"
+    ~premaster:"pms";
+  let keys = (c, Dtls_crypto.Client_write) in
+  let sealed_max = String.make (0xFFFF - Dtls_crypto.tag_length) 'x' in
+  roundtrip ~keys "largest sealed payload" sealed_max;
+  Alcotest.check_raises "sealed, one byte over" too_long (fun () ->
+      ignore (Dtls_wire.encode_record ~keys (record (sealed_max ^ "x"))));
+  (* a message that fits its own length field but not the record's *)
+  Alcotest.check_raises "handshake record" too_long (fun () ->
+      ignore
+        (Dtls_wire.write_handshake_record ~headroom:0 ~epoch:0 ~seq:0
+           {
+             Dtls_wire.msg_type = Dtls_wire.Certificate;
+             message_seq = 0;
+             body = largest;
+           }))
+
+let handshake_length_field () =
+  let h body =
+    { Dtls_wire.msg_type = Dtls_wire.Certificate; message_seq = 1; body }
+  in
+  let body = String.make 0x10000 'c' in
+  (match Dtls_wire.decode_handshake (Dtls_wire.encode_handshake (h body)) with
+  | Ok h' -> Alcotest.(check string) "24-bit body" body h'.Dtls_wire.body
+  | Error e -> Alcotest.fail e);
+  Alcotest.check_raises "one byte over"
+    (Invalid_argument
+       "Dtls_wire.encode_handshake: body exceeds the 24-bit length")
+    (fun () ->
+      ignore (Dtls_wire.encode_handshake (h (String.make 0x1000000 'c'))))
 
 let crypto_directions_differ () =
   let c = Dtls_crypto.create () in
@@ -284,6 +339,9 @@ let () =
           Alcotest.test_case "record protected" `Quick record_roundtrip_protected;
           Alcotest.test_case "wrong keys" `Quick record_wrong_keys_fail;
           Alcotest.test_case "directions differ" `Quick crypto_directions_differ;
+          Alcotest.test_case "record length field" `Quick record_length_field;
+          Alcotest.test_case "handshake length field" `Quick
+            handshake_length_field;
         ] );
       ( "connection",
         [

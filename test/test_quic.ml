@@ -994,6 +994,16 @@ let gen_tcp_case =
   let+ tcp_ip_total = opt ~ratio:0.3 (int_range 0 120) in
   { template; stage; resize; data_offset; tpokes; tcp_ip_total }
 
+let unmutated_tcp template =
+  {
+    template;
+    stage = 0;
+    resize = None;
+    data_offset = None;
+    tpokes = [];
+    tcp_ip_total = None;
+  }
+
 (* The mutated segment, its checksum recomputed over what it now
    holds. *)
 let build_tcp c =
@@ -1002,13 +1012,16 @@ let build_tcp c =
     match c.resize with
     | None -> Bytes.of_string wire
     | Some n ->
-        Bytes.init n (fun i -> if i < String.length wire then wire.[i] else '\x01')
+        Bytes.init n (fun i ->
+            if i < String.length wire then wire.[i] else '\x01')
   in
   let n = Bytes.length b in
   Option.iter
     (fun o -> if n > 12 then Bytes.set_uint8 b 12 (o lsl 4))
     c.data_offset;
-  List.iter (fun (pos, v) -> if n > 0 then Bytes.set_uint8 b (pos mod n) v) c.tpokes;
+  List.iter
+    (fun (pos, v) -> if n > 0 then Bytes.set_uint8 b (pos mod n) v)
+    c.tpokes;
   if n >= 18 then begin
     Bytes.set_uint16_be b 16 0;
     Bytes.set_uint16_be b 16 (ones_sum 0 b 0 n)
@@ -1024,9 +1037,8 @@ let tcp_server_at stage =
   (if stage >= 1 then
      match Tcp_server.handle server (client_seg "S" ~seq:999 ~ack:0) with
      | [ syn_ack ] when stage >= 2 ->
-         ignore
-           (Tcp_server.handle server
-              (client_seg "A" ~seq:1000 ~ack:(Tcp_wire.seq_add syn_ack.Tcp_wire.seq 1)))
+         let ack = Tcp_wire.seq_add syn_ack.Tcp_wire.seq 1 in
+         ignore (Tcp_server.handle server (client_seg "A" ~seq:1000 ~ack))
      | _ -> ());
   server
 
@@ -1034,25 +1046,31 @@ let tcp_server_at stage =
 let fuzz_tcp_builder_valid () =
   Array.iteri
     (fun template seg ->
-      let c =
-        { template; stage = 0; resize = None; data_offset = None; tpokes = []; tcp_ip_total = None }
-      in
-      let wire = build_tcp c in
+      let wire = build_tcp (unmutated_tcp template) in
       Alcotest.(check string) "rebuilt" (Tcp_wire.encode seg) wire;
-      let datagram = relength_tcp (Inet.wrap_tcp ~src:1 ~dst:2 wire) ~ip_total:None in
-      Alcotest.(check (result string string)) "unwrap" (Ok wire) (Inet.unwrap_tcp datagram);
-      Alcotest.(check bool) "decodes" true (Result.is_ok (Tcp_wire.decode wire)))
+      let datagram =
+        relength_tcp (Inet.wrap_tcp ~src:1 ~dst:2 wire) ~ip_total:None
+      in
+      Alcotest.(check (result string string))
+        "unwrap" (Ok wire) (Inet.unwrap_tcp datagram);
+      Alcotest.(check bool)
+        "decodes" true
+        (Result.is_ok (Tcp_wire.decode wire)))
     tcp_templates;
-  Alcotest.(check string) "established" "ESTABLISHED"
+  Alcotest.(check string)
+    "established" "ESTABLISHED"
     (Tcp_server.state_to_string (Tcp_server.state (tcp_server_at 2)))
 
 let prop_tcp_never_raises =
   QCheck2.Test.make ~count:1500
-    ~name:"TCP: mutated offsets, options and lengths under valid checksums never raise"
+    ~name:
+      "TCP: mutated offsets, options and lengths under valid checksums \
+       never raise"
     gen_tcp_case (fun c ->
       let wire = build_tcp c in
       let datagram =
-        relength_tcp (Inet.wrap_tcp ~src:0x0A000001 ~dst:0x0A000002 wire)
+        relength_tcp
+          (Inet.wrap_tcp ~src:0x0A000001 ~dst:0x0A000002 wire)
           ~ip_total:c.tcp_ip_total
       in
       let segments =
@@ -1076,8 +1094,10 @@ let dtls_at stage =
   let server = Dtls_server.create (Rng.split rng) in
   let client = Dtls_client.create (Rng.split rng) in
   let keys = Dtls_crypto.create () in
-  let client_random = ref "" and server_random = ref "" and premaster = ref "" in
-  let body_after prefix body =
+  let client_random = ref "" in
+  let server_random = ref "" in
+  let premaster = ref "" in
+  let after prefix body =
     let n = String.length prefix in
     if String.length body >= n && String.sub body 0 n = prefix then
       Some (String.sub body n (String.length body - n))
@@ -1085,14 +1105,14 @@ let dtls_at stage =
   in
   let note (r : Dtls_wire.record_) =
     match Dtls_wire.decode_handshake r.Dtls_wire.payload with
+    | Error _ -> ()
     | Ok h -> (
         let body = h.Dtls_wire.body in
-        (match body_after "CR:" body with
-        | Some rest -> client_random := List.hd (String.split_on_char ';' rest)
-        | None -> ());
-        (match body_after "SR:" body with Some sr -> server_random := sr | None -> ());
-        match body_after "PMS:" body with Some p -> premaster := p | None -> ())
-    | Error _ -> ()
+        Option.iter
+          (fun rest -> client_random := List.hd (String.split_on_char ';' rest))
+          (after "CR:" body);
+        Option.iter (fun sr -> server_random := sr) (after "SR:" body);
+        match after "PMS:" body with Some p -> premaster := p | None -> ())
   in
   List.iteri
     (fun i symbol ->
@@ -1102,10 +1122,14 @@ let dtls_at stage =
         | Some (wire, record) ->
             note record;
             List.iter
-              (fun response -> Option.iter note (Dtls_client.absorb client response))
+              (fun response ->
+                Option.iter note (Dtls_client.absorb client response))
               (Dtls_server.handle_datagram server wire))
     Dtls_alphabet.
-      [ Client_hello; Client_hello; Client_key_exchange; Change_cipher_spec; Finished ];
+      [
+        Client_hello; Client_hello; Client_key_exchange; Change_cipher_spec;
+        Finished;
+      ];
   if !premaster <> "" then
     Dtls_crypto.derive_master keys ~client_random:!client_random
       ~server_random:!server_random ~premaster:!premaster;
@@ -1119,7 +1143,9 @@ type dtls_template = {
 }
 
 let dtls_templates =
-  let hs epoch t body = { content = 22; epoch; handshake = Some (t, body); plain = "" } in
+  let hs epoch t body =
+    { content = 22; epoch; handshake = Some (t, body); plain = "" }
+  in
   let rc epoch content plain = { content; epoch; handshake = None; plain } in
   [|
     hs 0 1 "CR:0123456789abcdef;COOKIE:";
@@ -1140,13 +1166,13 @@ type dtls_case = {
   dstage : int;  (** handshake symbols both endpoints have seen (0-5) *)
   ctype : int option;  (** replaces the content-type byte *)
   version : int option;
-  rec_epoch : int option;  (** replaces the epoch; the record is sealed under it *)
+  rec_epoch : int option;  (** replaces the epoch; sealed under it *)
   record_len : int option;  (** replaces the record length field *)
   hs_type : int option;
   hs_len : int option;  (** replaces the 24-bit handshake length *)
   frag_offset : int option;
   frag_len : int option;
-  dpokes : (int * int) list;  (** (position, byte) writes into the plaintext *)
+  dpokes : (int * int) list;  (** (position, byte) writes, plaintext *)
   dtls_ip_total : int option;
   dtls_udp_len : int option;
 }
@@ -1159,17 +1185,52 @@ let gen_dtls_case =
   let* ctype = opt ~ratio:0.2 (oneof [ int_range 19 24; int_range 0 255 ]) in
   let* version = opt ~ratio:0.1 (oneofl [ 0xFEFD; 0xFEFF; 0x0303; 0 ]) in
   let* rec_epoch = opt ~ratio:0.2 (int_range 0 3) in
-  let* record_len = opt ~ratio:0.3 (oneof [ int_range 0 80; int_range 0 0xFFFF ]) in
-  let* hs_type = opt ~ratio:0.2 (oneof [ oneofl [ 1; 2; 3; 11; 14; 16; 20 ]; int_range 0 255 ]) in
+  let* record_len =
+    opt ~ratio:0.3 (oneof [ int_range 0 80; int_range 0 0xFFFF ])
+  in
+  let* hs_type =
+    opt ~ratio:0.2
+      (oneof [ oneofl [ 1; 2; 3; 11; 14; 16; 20 ]; int_range 0 255 ])
+  in
   let* hs_len = opt ~ratio:0.3 u24 in
   let* frag_offset = opt ~ratio:0.1 u24 in
   let* frag_len = opt ~ratio:0.2 u24 in
-  let* dpokes = list_size (int_range 0 3) (pair (int_range 0 60) (int_range 0 255)) in
+  let* dpokes =
+    list_size (int_range 0 3) (pair (int_range 0 60) (int_range 0 255))
+  in
   let* dtls_ip_total = opt ~ratio:0.2 (int_range 0 200) in
   let+ dtls_udp_len = opt ~ratio:0.2 (int_range 0 200) in
   {
-    dtemplate; dstage; ctype; version; rec_epoch; record_len; hs_type; hs_len;
-    frag_offset; frag_len; dpokes; dtls_ip_total; dtls_udp_len;
+    dtemplate;
+    dstage;
+    ctype;
+    version;
+    rec_epoch;
+    record_len;
+    hs_type;
+    hs_len;
+    frag_offset;
+    frag_len;
+    dpokes;
+    dtls_ip_total;
+    dtls_udp_len;
+  }
+
+let unmutated_dtls dtemplate =
+  {
+    dtemplate;
+    dstage = 5;
+    ctype = None;
+    version = None;
+    rec_epoch = None;
+    record_len = None;
+    hs_type = None;
+    hs_len = None;
+    frag_offset = None;
+    frag_len = None;
+    dpokes = [];
+    dtls_ip_total = None;
+    dtls_udp_len = None;
   }
 
 (* The mutated record, sealed under its (possibly mutated) epoch with
@@ -1195,66 +1256,68 @@ let build_dtls c ~keys ~sender =
         b
   in
   let n = Bytes.length plaintext in
-  List.iter (fun (pos, v) -> if n > 0 then Bytes.set_uint8 plaintext (pos mod n) v) c.dpokes;
+  List.iter
+    (fun (pos, v) -> if n > 0 then Bytes.set_uint8 plaintext (pos mod n) v)
+    c.dpokes;
   let epoch = Option.value c.rec_epoch ~default:t.epoch in
   let seq = 3 in
   let payload =
     let plaintext = Bytes.to_string plaintext in
     if epoch >= 1 then
-      Option.value ~default:plaintext (Dtls_crypto.seal keys sender ~epoch ~seq plaintext)
+      Option.value ~default:plaintext
+        (Dtls_crypto.seal keys sender ~epoch ~seq plaintext)
     else plaintext
   in
-  let b = Bytes.create (13 + String.length payload) in
+  let n = String.length payload in
+  let b = Bytes.create (13 + n) in
   Bytes.set_uint8 b 0 (Option.value c.ctype ~default:t.content);
   Bytes.set_uint16_be b 1 (Option.value c.version ~default:0xFEFD);
   Bytes.set_uint16_be b 3 epoch;
   Bytes.set_uint16_be b 5 0;
   Bytes.set_int32_be b 7 (Int32.of_int seq);
-  Bytes.set_uint16_be b 11 (Option.value c.record_len ~default:(String.length payload));
-  Bytes.blit_string payload 0 b 13 (String.length payload);
+  Bytes.set_uint16_be b 11 (Option.value c.record_len ~default:n);
+  Bytes.blit_string payload 0 b 13 n;
   Bytes.to_string b
 
 (* Unmutated, the templates decode (sealed ones under the endpoints'
    keys) and a full handshake leaves both endpoints established. *)
 let fuzz_dtls_builder_valid () =
   let server, client, keys = dtls_at 5 in
-  Alcotest.(check bool) "handshake complete" true (Dtls_client.handshake_complete client);
+  Alcotest.(check bool)
+    "handshake complete" true
+    (Dtls_client.handshake_complete client);
+  let client_keys = (keys, Dtls_crypto.Client_write) in
   Array.iteri
     (fun dtemplate t ->
-      let c =
-        {
-          dtemplate; dstage = 5; ctype = None; version = None; rec_epoch = None;
-          record_len = None; hs_type = None; hs_len = None; frag_offset = None;
-          frag_len = None; dpokes = []; dtls_ip_total = None; dtls_udp_len = None;
-        }
+      let wire =
+        build_dtls (unmutated_dtls dtemplate) ~keys
+          ~sender:Dtls_crypto.Client_write
       in
-      let wire = build_dtls c ~keys ~sender:Dtls_crypto.Client_write in
-      let unprotect ~epoch ~seq payload =
-        Dtls_crypto.open_ keys Dtls_crypto.Client_write ~epoch ~seq payload
-      in
-      match Dtls_wire.decode_record ~unprotect wire with
+      match Dtls_wire.decode_record ~keys:client_keys wire with
+      | Error e -> Alcotest.failf "template %d: %s" dtemplate e
       | Ok r -> (
           Alcotest.(check int) "epoch" t.epoch r.Dtls_wire.epoch;
           match t.handshake with
+          | None ->
+              Alcotest.(check string) "payload" t.plain r.Dtls_wire.payload
           | Some (_, body) -> (
               match Dtls_wire.decode_handshake r.Dtls_wire.payload with
               | Ok h -> Alcotest.(check string) "body" body h.Dtls_wire.body
-              | Error e -> Alcotest.fail e)
-          | None -> Alcotest.(check string) "payload" t.plain r.Dtls_wire.payload)
-      | Error e -> Alcotest.failf "template %d: %s" dtemplate e)
+              | Error e -> Alcotest.fail e)))
     dtls_templates;
   (* the established server echoes a sealed APP_DATA *)
-  let app = build_dtls
-      { dtemplate = 8; dstage = 5; ctype = None; version = None; rec_epoch = None;
-        record_len = None; hs_type = None; hs_len = None; frag_offset = None;
-        frag_len = None; dpokes = []; dtls_ip_total = None; dtls_udp_len = None }
-      ~keys ~sender:Dtls_crypto.Client_write
+  let app =
+    build_dtls (unmutated_dtls 8) ~keys ~sender:Dtls_crypto.Client_write
   in
-  Alcotest.(check int) "echo" 1 (List.length (Dtls_server.handle_datagram server app))
+  Alcotest.(check int)
+    "echo" 1
+    (List.length (Dtls_server.handle_datagram server app))
 
 let prop_dtls_never_raises =
   QCheck2.Test.make ~count:1500
-    ~name:"DTLS: mutated record and handshake headers under valid tags never raise"
+    ~name:
+      "DTLS: mutated record and handshake headers under valid tags never \
+       raise"
     gen_dtls_case (fun c ->
       List.iter
         (fun sender ->
@@ -1271,10 +1334,9 @@ let prop_dtls_never_raises =
             | Ok (_, payload) -> [ wire; payload ]
             | Error _ -> [ wire ]
           in
-          let unprotect ~epoch ~seq payload = Dtls_crypto.open_ keys sender ~epoch ~seq payload in
           List.iter
             (fun record ->
-              (match Dtls_wire.decode_record ~unprotect record with
+              (match Dtls_wire.decode_record ~keys:(keys, sender) record with
               | Ok r -> ignore (Dtls_wire.decode_handshake r.Dtls_wire.payload)
               | Error _ -> ());
               ignore (Dtls_wire.decode_record record);
