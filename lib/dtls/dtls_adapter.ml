@@ -39,26 +39,29 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
                 in
                 to_client outputs (r :: received) rest))
   in
+  let rec respond outputs received = function
+    | [] -> (outputs, received)
+    | b :: rest ->
+        let outputs, received =
+          to_client outputs received
+            (Network.transmit channel
+               (Inet.frame_udp ~src:server_ip ~dst:client_ip ~src_port:4433
+                  ~dst_port:50000 b))
+        in
+        respond outputs received rest
+  in
   let step symbol =
     match
       Dtls_client.concretize_into client ~headroom:Inet.udp_headroom symbol
     with
     | None -> ([], [], [])
     | Some (b, request) ->
-        let responses =
-          List.concat_map to_server
-            (Network.transmit channel
-               (Inet.frame_udp ~src:client_ip ~dst:server_ip ~src_port:50000
-                  ~dst_port:4433 b))
-        in
         let outputs, received =
-          List.fold_left
-            (fun (outputs, received) b ->
-              to_client outputs received
-                (Network.transmit channel
-                   (Inet.frame_udp ~src:server_ip ~dst:client_ip ~src_port:4433
-                      ~dst_port:50000 b)))
-            ([], []) responses
+          respond [] []
+            (List.concat_map to_server
+               (Network.transmit channel
+                  (Inet.frame_udp ~src:client_ip ~dst:server_ip
+                     ~src_port:50000 ~dst_port:4433 b)))
         in
         (List.rev outputs, [ request ], List.rev received)
   in

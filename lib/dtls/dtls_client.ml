@@ -108,8 +108,6 @@ let concretize t symbol =
     (fun (b, record) -> (Bytes.unsafe_to_string b, record))
     (concretize_into t ~headroom:0 symbol)
 
-let server_random_prefix = "SR:"
-
 (* Each handshake message is decoded once, for the state update and
    the abstraction both. *)
 let absorb_at t data off len =
@@ -127,7 +125,7 @@ let absorb_at t data off len =
                 | W.Server_hello ->
                     let body = h.W.body in
                     let n = String.length body in
-                    if n > 3 && String.sub body 0 3 = server_random_prefix then
+                    if n > 3 && String.sub body 0 3 = "SR:" then
                       t.server_random <- String.sub body 3 (n - 3)
                 | W.Finished -> t.server_finished <- true
                 | W.Certificate | W.Server_hello_done | W.Client_hello

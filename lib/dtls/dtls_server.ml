@@ -100,12 +100,13 @@ let fatal_alert t ~headroom description =
   Bytes.set body 1 (Char.chr description);
   [ emit t ~headroom W.Alert (Bytes.unsafe_to_string body) ]
 
+(* [prefix] at [s[off..]], compared where it lies. *)
+let rec matches prefix s off i =
+  i = String.length prefix
+  || (s.[off + i] = prefix.[i] && matches prefix s off (i + 1))
+
 let has_prefix prefix s off =
-  let n = String.length prefix in
-  off + n <= String.length s
-  &&
-  let rec go i = i = n || (s.[off + i] = prefix.[i] && go (i + 1)) in
-  go 0
+  off + String.length prefix <= String.length s && matches prefix s off 0
 
 (* ClientHello body: "CR:<random>;COOKIE:<cookie>", exactly one ';', a
    non-empty random. *)

@@ -207,29 +207,36 @@ let frame_udp ~src ~dst ~src_port ~dst_port b =
   Ipv4.write_header b ~total ~ttl:64 ~protocol:Ipv4.udp_protocol ~src ~dst;
   Bytes.unsafe_to_string b
 
+(* The IPv4 checks and the protocol: the datagram's total length.
+   @raise Reject otherwise. *)
+let ipv4_total data ~protocol ~not_it =
+  let total = Ipv4.check data in
+  if Char.code data.[9] <> protocol then raise (Reject not_it);
+  total
+
+let tcp_total data =
+  ipv4_total data ~protocol:Ipv4.tcp_protocol ~not_it:"ipv4: not TCP"
+
+(* The checks of [Ipv4.decode] then [Udp.decode], in place: the UDP
+   length. *)
+let udp_total data =
+  let ip_len = Ipv4.header_len in
+  let total =
+    ipv4_total data ~protocol:Ipv4.udp_protocol ~not_it:"ipv4: not UDP"
+  in
+  Udp.check ~src_ip:(get_u32 data 12) ~dst_ip:(get_u32 data 16) data ip_len
+    (total - ip_len)
+
 let check_tcp data =
-  match
-    let total = Ipv4.check data in
-    if Char.code data.[9] <> Ipv4.tcp_protocol then
-      raise (Reject "ipv4: not TCP");
-    total
-  with
+  match tcp_total data with
   | exception Reject e -> Error e
   | total -> Ok (tcp_headroom, total - tcp_headroom)
 
-(* The checks of [Ipv4.decode] then [Udp.decode], in place. *)
 let check_udp data =
-  let ip_len = Ipv4.header_len in
-  match
-    let total = Ipv4.check data in
-    if Char.code data.[9] <> Ipv4.udp_protocol then
-      raise (Reject "ipv4: not UDP");
-    Udp.check ~src_ip:(get_u32 data 12) ~dst_ip:(get_u32 data 16) data ip_len
-      (total - ip_len)
-  with
+  match udp_total data with
   | exception Reject e -> Error e
-  | udp_total ->
-      Ok (get_u16 data ip_len, udp_headroom, udp_total - Udp.header_len)
+  | total ->
+      Ok (get_u16 data Ipv4.header_len, udp_headroom, total - Udp.header_len)
 
 let wrap_tcp ~src ~dst payload =
   let n = String.length payload in
@@ -238,9 +245,9 @@ let wrap_tcp ~src ~dst payload =
   frame_tcp ~src ~dst b
 
 let unwrap_tcp data =
-  match check_tcp data with
-  | Error e -> Error e
-  | Ok (off, len) -> Ok (String.sub data off len)
+  match tcp_total data with
+  | exception Reject e -> Error e
+  | total -> Ok (String.sub data tcp_headroom (total - tcp_headroom))
 
 let wrap_udp ~src ~dst ~src_port ~dst_port payload =
   let n = String.length payload in
@@ -249,6 +256,9 @@ let wrap_udp ~src ~dst ~src_port ~dst_port payload =
   frame_udp ~src ~dst ~src_port ~dst_port b
 
 let unwrap_udp data =
-  match check_udp data with
-  | Error e -> Error e
-  | Ok (port, off, len) -> Ok (port, String.sub data off len)
+  match udp_total data with
+  | exception Reject e -> Error e
+  | total ->
+      Ok
+        ( get_u16 data Ipv4.header_len,
+          String.sub data udp_headroom (total - Udp.header_len) )

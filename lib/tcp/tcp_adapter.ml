@@ -44,20 +44,23 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
             in
             to_client outputs (seg :: received) rest)
   in
-  let step symbol =
-    let request = Tcp_client.concretize client symbol in
-    let responses =
-      List.concat_map to_server
-        (Network.transmit channel
-           (Tcp_wire.to_ipv4 ~src:client_ip ~dst:server_ip request))
-    in
-    let outputs, received =
-      List.fold_left
-        (fun (outputs, received) b ->
+  let rec respond outputs received = function
+    | [] -> (outputs, received)
+    | b :: rest ->
+        let outputs, received =
           to_client outputs received
             (Network.transmit channel
-               (Inet.frame_tcp ~src:server_ip ~dst:client_ip b)))
-        ([], []) responses
+               (Inet.frame_tcp ~src:server_ip ~dst:client_ip b))
+        in
+        respond outputs received rest
+  in
+  let step symbol =
+    let request = Tcp_client.concretize client symbol in
+    let outputs, received =
+      respond [] []
+        (List.concat_map to_server
+           (Network.transmit channel
+              (Tcp_wire.to_ipv4 ~src:client_ip ~dst:server_ip request)))
     in
     (List.rev outputs, [ request ], List.rev received)
   in

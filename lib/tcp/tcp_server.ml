@@ -209,16 +209,18 @@ let handle t (seg : segment) =
     | Last_ack -> handle_last_ack t seg
     | Closed -> refuse t seg
 
+(* Each segment written once, after [headroom] bytes. *)
+let rec write_all ~headroom = function
+  | [] -> []
+  | seg :: rest ->
+      let b = Bytes.create (headroom + encoded_length seg) in
+      write seg b headroom;
+      b :: write_all ~headroom rest
+
 let handle_at t ~headroom data off len =
   match decode_at data off len with
   | Error _ -> []
-  | Ok seg ->
-      List.map
-        (fun response ->
-          let b = Bytes.create (headroom + encoded_length response) in
-          write response b headroom;
-          b)
-        (handle t seg)
+  | Ok seg -> write_all ~headroom (handle t seg)
 
 let handle_bytes t data =
   List.map Bytes.unsafe_to_string

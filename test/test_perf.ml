@@ -1169,7 +1169,7 @@ let allocation_budget () =
   Printf.printf "minor words per step: tcp %.1f, dtls %.1f\n" tcp dtls;
   if not (String.starts_with ~prefix:"5.1." Sys.ocaml_version) then
     Alcotest.skip ();
-  (* 130.1 and 199.4 on 5.1.1 (248.3 and 312.4 when segments and
+  (* 121.1 and 189.4 on 5.1.1 (248.3 and 312.4 when segments and
      records were built in Buffers and copied into each layer); the
      bounds leave room for a few words, not for another copy of a
      datagram *)
@@ -1178,8 +1178,8 @@ let allocation_budget () =
       Alcotest.failf "%s: %.1f minor words per step, over the budget of %.0f"
         name words bound
   in
-  within "tcp" tcp 135.;
-  within "dtls" dtls 205.
+  within "tcp" tcp 125.;
+  within "dtls" dtls 195.
 
 let () =
   Alcotest.run "perf"
