@@ -932,20 +932,21 @@ let dtls_wire_sul ~emit ~server_config seed =
       Dtls_client.reset client)
     ~step ()
 
-(* Steps [driver] and the adapter's own SUL together: every output must
+(* Steps [replica] and the adapter's own SUL together: every output must
    agree, so the digest below pins the adapter's datagrams. *)
-let lockstep ~out_s (driver : _ Sul.t) (adapter : _ Sul.t) =
+let lockstep ~out_s (replica : _ Sul.t) (adapter : _ Sul.t) =
   {
-    driver with
+    replica with
     Sul.reset =
       (fun () ->
-        driver.Sul.reset ();
+        replica.Sul.reset ();
         adapter.Sul.reset ());
     step =
       (fun i ->
-        let o = driver.Sul.step i and o' = adapter.Sul.step i in
+        let o = replica.Sul.step i and o' = adapter.Sul.step i in
         if out_s o <> out_s o' then
-          Alcotest.failf "adapter output %s, driver %s" (out_s o') (out_s o);
+          Alcotest.failf "adapter output %s, replica %s" (out_s o')
+            (out_s o);
         o);
   }
 
@@ -963,8 +964,8 @@ let tcp_dtls_wire_digest () =
     Buffer.add_string digests (Digest.string datagram)
   in
   let learn (type i o) ~name ~seed ~(all : i array) ~in_s ~out_s
-      ~(driver : int64 -> (i, o) Sul.t) ~(adapter : int64 -> (i, o) Sul.t) ~eq
-      =
+      ~(replica : int64 -> (i, o) Sul.t) ~(adapter : int64 -> (i, o) Sul.t)
+      ~eq =
     let digested o =
       let s = out_s o in
       Buffer.add_string digests s;
@@ -974,7 +975,7 @@ let tcp_dtls_wire_digest () =
       Engine.learn ~algorithm:Prognosis_learner.Learn.Ttt_tree
         ~factory:
           (Engine.seeded_factory
-             (fun s -> lockstep ~out_s:digested (driver s) (adapter s))
+             (fun s -> lockstep ~out_s:digested (replica s) (adapter s))
              ~seed)
         ~inputs:all ~eq ()
     in
@@ -999,7 +1000,7 @@ let tcp_dtls_wire_digest () =
       let tcp name server_config =
         learn ~name ~seed ~all:Tcp_alphabet.all ~in_s:Tcp_alphabet.to_string
           ~out_s:Tcp_alphabet.output_to_string
-          ~driver:(tcp_wire_sul ~emit ~server_config)
+          ~replica:(tcp_wire_sul ~emit ~server_config)
           ~adapter:(fun seed ->
             Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed ())
           ~eq:(Tcp_study.eq_oracle Fun.id ~seed)
@@ -1007,7 +1008,7 @@ let tcp_dtls_wire_digest () =
       let dtls name server_config =
         learn ~name ~seed ~all:Dtls_alphabet.all ~in_s:Dtls_alphabet.to_string
           ~out_s:Dtls_alphabet.output_to_string
-          ~driver:(dtls_wire_sul ~emit ~server_config)
+          ~replica:(dtls_wire_sul ~emit ~server_config)
           ~adapter:(fun seed ->
             Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed ())
           ~eq:(Dtls_study.eq_oracle Fun.id ~seed)
