@@ -1238,7 +1238,7 @@ let () =
           Alcotest.test_case "IPv4 known answers" `Quick inet_known_answers;
           QCheck_alcotest.to_alcotest prop_udp_roundtrip;
         ] );
-      ( "tcp-dtls-wire",
+      ( "tcp-dtls",
         [
           Alcotest.test_case "datagram digest" `Quick tcp_dtls_wire_digest;
           Alcotest.test_case "TCP and DTLS known answers" `Quick
